@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -171,25 +172,10 @@ buildScenarioSource(const std::string &name)
     return std::make_unique<sim::TraceSource>(buildScenarioTrace(name));
 }
 
-/** Run one workload trace under one policy (single core). */
-inline sim::SingleCoreResult
-runPolicy(const traces::Trace &trace, const std::string &policy)
-{
-    sim::SimOptions opts;
-    return sim::runSingleCore(trace, core::makePolicy(policy), opts);
-}
-
-/** runPolicy with a cooperative cancellation token (sweep cells). */
-inline sim::SingleCoreResult
-runPolicy(const traces::Trace &trace, const std::string &policy,
-          const CancelToken &cancel)
-{
-    sim::SimOptions opts;
-    opts.cancel = &cancel;
-    return sim::runSingleCore(trace, core::makePolicy(policy), opts);
-}
-
-/** runPolicy over any access source (in-memory or streaming). */
+/**
+ * Run one workload's access source (in-memory or streaming) under one
+ * policy on a single core, polling @p cancel when set (sweep cells).
+ */
 inline sim::SingleCoreResult
 runPolicy(sim::AccessSource &source, const std::string &policy,
           const CancelToken *cancel = nullptr)
@@ -217,6 +203,20 @@ speedupPct(const sim::SingleCoreResult &base,
            const sim::SingleCoreResult &x)
 {
     return base.ipc > 0.0 ? 100.0 * (x.ipc / base.ipc - 1.0) : 0.0;
+}
+
+/** Figure 11/12 suite column of @p workload: SPEC17, SPEC06 or GAP. */
+inline const char *
+suiteLabel(const std::string &workload)
+{
+    switch (workloads::suiteOf(workload)) {
+      case workloads::Suite::Spec2006:
+        return "SPEC06";
+      case workloads::Suite::Spec2017:
+        return "SPEC17";
+      default:
+        return "GAP";
+    }
 }
 
 /** LstmConfig scaled for bench runtime (dims via env). */
@@ -253,22 +253,17 @@ capDataset(offline::OfflineDataset &ds, std::size_t max_accesses)
  * whatever the worker count, and output printed from it is
  * byte-identical to the serial harness's.
  *
- * Two execution modes:
- *  - add()/addCell() + run(): the original fail-fast API; the first
- *    cell exception aborts the sweep.
- *  - queue()/queueCell() + runChecked(): keyed cells under the
- *    resilience layer — per-cell fault isolation (a throwing cell is
- *    quarantined, siblings complete), bounded retry with exponential
- *    backoff, per-cell soft deadlines via cooperative cancellation,
- *    and checkpoint/resume through resilience::SweepCheckpoint.
+ * Cells are queued under a key (queue()/queueCell()) and run by
+ * runChecked() under the resilience layer: per-cell fault isolation
+ * (a throwing cell is quarantined, siblings complete), bounded retry
+ * with exponential backoff, per-cell soft deadlines via cooperative
+ * cancellation, and checkpoint/resume through
+ * resilience::SweepCheckpoint.
  */
 class SweepRunner
 {
   public:
-    /** A queued simulation returning its result row. */
-    using Cell = std::function<sim::SingleCoreResult()>;
-
-    /** A keyed cell that polls a cancellation token (runChecked). */
+    /** A keyed cell that polls a cancellation token. */
     using CancellableCell =
         std::function<sim::SingleCoreResult(const CancelToken &)>;
 
@@ -276,25 +271,6 @@ class SweepRunner
         : pool_(threads)
     {
     }
-
-    /** Queue @p policy on @p workload's cached bench-length trace. */
-    void
-    add(const std::string &workload, const std::string &policy)
-    {
-        addCell([workload, policy] {
-            return runPolicy(buildTrace(workload), policy);
-        });
-    }
-
-    /** Queue an arbitrary cell (MIN oracle, custom options, ...). */
-    void
-    addCell(Cell cell)
-    {
-        futures_.push_back(pool_.submit(std::move(cell)));
-    }
-
-    /** Queued cells not yet collected by run(). */
-    std::size_t pending() const { return futures_.size(); }
 
     /** Number of worker threads. */
     unsigned threads() const { return pool_.size(); }
@@ -329,6 +305,18 @@ class SweepRunner
                     return true;
             }
             return false;
+        }
+
+        /** The cell queued under @p key; throws std::out_of_range
+         *  when no cell has that key. */
+        const CellOutcome &
+        at(const std::string &key) const
+        {
+            for (const auto &c : cells) {
+                if (c.key == key)
+                    return c;
+            }
+            throw std::out_of_range("no sweep cell keyed " + key);
         }
     };
 
@@ -466,31 +454,7 @@ class SweepRunner
     /** Request cooperative cancellation of every running cell. */
     void cancel() { pool_.cancel(); }
 
-    /**
-     * Wait for every queued cell and return the rows in insertion
-     * order. Rethrows the first cell exception, if any.
-     */
-    std::vector<sim::SingleCoreResult>
-    run()
-    {
-        auto start = std::chrono::steady_clock::now();
-        std::vector<sim::SingleCoreResult> rows;
-        rows.reserve(futures_.size());
-        for (auto &f : futures_)
-            rows.push_back(f.get());
-        futures_.clear();
-        wall_seconds_ += std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-        cells_run_ += rows.size();
-        for (const auto &row : rows) {
-            accesses_simulated_ += row.accesses_simulated;
-            cell_seconds_ += row.sim_seconds;
-        }
-        return rows;
-    }
-
-    /** Wall time spent inside run(), summed over calls. */
+    /** Wall time spent inside runChecked(), summed over calls. */
     double wallSeconds() const { return wall_seconds_; }
 
     /** Trace accesses replayed across all collected cells. */
@@ -586,7 +550,6 @@ class SweepRunner
     }
 
     ThreadPool pool_;
-    std::vector<std::future<sim::SingleCoreResult>> futures_;
     std::vector<KeyedCell> queued_;
     double wall_seconds_ = 0.0;
     double cell_seconds_ = 0.0; //!< sum of per-cell replay-loop time

@@ -99,10 +99,6 @@ main()
     sweep_opts.config["scenario_accesses"] =
         obs::json::Value(bench::scenarioAccesses());
     const auto outcome = sweep.runChecked(sweep_opts);
-    const auto &rows = outcome.cells;
-    const std::size_t stride = policies.size() + 2;
-    const std::size_t grid_base = names.size() * stride;
-    const std::size_t grid_stride = zoo.size() + 2; // LRU ... MIN
 
     std::printf("%-14s %9s", "Benchmark", "LRU-MPKI");
     for (const auto &p : policies)
@@ -114,40 +110,34 @@ main()
                   obs::json::Value(bench::scenarioAccesses()));
     std::map<std::string, std::vector<double>> suite_acc;
     std::map<std::string, std::vector<double>> all_acc;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        const auto &name = names[i];
-        const bench::SweepRunner::CellOutcome *row = &rows[i * stride];
-        if (!row[0].ok()) {
+    for (const auto &name : names) {
+        const auto &base = outcome.at(name + "/LRU");
+        if (!base.ok()) {
             // Without the LRU baseline no reduction is computable;
             // the quarantined cell is in the report's degraded list.
             std::printf("%-14s %9s (baseline quarantined)\n",
                         name.c_str(), "n/a");
             continue;
         }
-        const auto &lru = row[0].row;
+        const auto &lru = base.row;
         std::printf("%-14s %9.2f", name.c_str(), lru.mpki());
-        std::string suite =
-            workloads::suiteOf(name) == workloads::Suite::Spec2006
-                ? "SPEC06"
-                : (workloads::suiteOf(name) == workloads::Suite::Spec2017
-                       ? "SPEC17"
-                       : "GAP");
-        for (std::size_t p = 0; p < policies.size(); ++p) {
-            if (!row[1 + p].ok()) {
+        const std::string suite = bench::suiteLabel(name);
+        for (const auto &p : policies) {
+            const auto &cell = outcome.at(name + "/" + p);
+            if (!cell.ok()) {
                 std::printf(" %9s", "n/a");
                 continue;
             }
-            double red = bench::missReductionPct(lru, row[1 + p].row);
+            double red = bench::missReductionPct(lru, cell.row);
             std::printf(" %8.1f%%", red);
-            suite_acc[suite + "/" + policies[p]].push_back(red);
-            all_acc[policies[p]].push_back(red);
-            report.metric(
-                "miss_reduction_pct." + name + "." + policies[p], red,
-                "%", obs::Direction::Info);
+            suite_acc[suite + "/" + p].push_back(red);
+            all_acc[p].push_back(red);
+            report.metric("miss_reduction_pct." + name + "." + p, red,
+                          "%", obs::Direction::Info);
         }
-        if (row[stride - 1].ok()) {
-            double min_red =
-                bench::missReductionPct(lru, row[stride - 1].row);
+        const auto &bound = outcome.at(name + "/MIN");
+        if (bound.ok()) {
+            double min_red = bench::missReductionPct(lru, bound.row);
             std::printf(" %8.1f%%\n", min_red);
             report.metric("miss_reduction_pct." + name + ".MIN",
                           min_red, "%", obs::Direction::Info);
@@ -192,32 +182,30 @@ main()
     std::printf(" %10s\n", "MIN");
 
     std::map<std::string, std::vector<double>> grid_acc;
-    for (std::size_t s = 0; s < scenarios.size(); ++s) {
-        const auto &scen = scenarios[s];
-        const bench::SweepRunner::CellOutcome *row =
-            &rows[grid_base + s * grid_stride];
-        if (!row[0].ok()) {
+    for (const auto &scen : scenarios) {
+        const auto &base = outcome.at(scen + "/LRU");
+        if (!base.ok()) {
             std::printf("%-16s %9s (baseline quarantined)\n",
                         scen.c_str(), "n/a");
             continue;
         }
-        const auto &lru = row[0].row;
+        const auto &lru = base.row;
         std::printf("%-16s %9.2f", scen.c_str(), lru.mpki());
-        for (std::size_t p = 0; p < zoo.size(); ++p) {
-            if (!row[1 + p].ok()) {
+        for (const auto &p : zoo) {
+            const auto &cell = outcome.at(scen + "/" + p);
+            if (!cell.ok()) {
                 std::printf(" %10s", "n/a");
                 continue;
             }
-            double red = bench::missReductionPct(lru, row[1 + p].row);
+            double red = bench::missReductionPct(lru, cell.row);
             std::printf(" %9.1f%%", red);
-            grid_acc[zoo[p]].push_back(red);
-            report.metric("grid.miss_reduction_pct." + scen + "."
-                              + zoo[p],
+            grid_acc[p].push_back(red);
+            report.metric("grid.miss_reduction_pct." + scen + "." + p,
                           red, "%", obs::Direction::Info);
         }
-        if (row[grid_stride - 1].ok()) {
-            double min_red =
-                bench::missReductionPct(lru, row[grid_stride - 1].row);
+        const auto &bound = outcome.at(scen + "/MIN");
+        if (bound.ok()) {
+            double min_red = bench::missReductionPct(lru, bound.row);
             std::printf(" %9.1f%%\n", min_red);
             report.metric("grid.miss_reduction_pct." + scen + ".MIN",
                           min_red, "%", obs::Direction::Info);

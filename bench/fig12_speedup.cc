@@ -56,10 +56,6 @@ main()
     sweep_opts.config["scenario_accesses"] =
         obs::json::Value(bench::scenarioAccesses());
     const auto outcome = sweep.runChecked(sweep_opts);
-    const auto &rows = outcome.cells;
-    const std::size_t stride = policies.size() + 1;
-    const std::size_t grid_base = names.size() * stride;
-    const std::size_t grid_stride = zoo.size() + 1; // LRU first
 
     std::printf("%-14s %9s", "Benchmark", "LRU-IPC");
     for (const auto &p : policies)
@@ -71,33 +67,28 @@ main()
                   obs::json::Value(bench::scenarioAccesses()));
     std::map<std::string, std::vector<double>> suite_acc;
     std::map<std::string, std::vector<double>> all_acc;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        const auto &name = names[i];
-        const bench::SweepRunner::CellOutcome *row = &rows[i * stride];
-        if (!row[0].ok()) {
+    for (const auto &name : names) {
+        const auto &base = outcome.at(name + "/LRU");
+        if (!base.ok()) {
             std::printf("%-14s %9s (baseline quarantined)\n",
                         name.c_str(), "n/a");
             continue;
         }
-        const auto &lru = row[0].row;
+        const auto &lru = base.row;
         std::printf("%-14s %9.3f", name.c_str(), lru.ipc);
-        std::string suite =
-            workloads::suiteOf(name) == workloads::Suite::Spec2006
-                ? "SPEC06"
-                : (workloads::suiteOf(name) == workloads::Suite::Spec2017
-                       ? "SPEC17"
-                       : "GAP");
-        for (std::size_t p = 0; p < policies.size(); ++p) {
-            if (!row[1 + p].ok()) {
+        const std::string suite = bench::suiteLabel(name);
+        for (const auto &p : policies) {
+            const auto &cell = outcome.at(name + "/" + p);
+            if (!cell.ok()) {
                 std::printf(" %9s", "n/a");
                 continue;
             }
-            double up = bench::speedupPct(lru, row[1 + p].row);
+            double up = bench::speedupPct(lru, cell.row);
             std::printf(" %8.1f%%", up);
-            suite_acc[suite + "/" + policies[p]].push_back(up);
-            all_acc[policies[p]].push_back(up);
-            report.metric("speedup_pct." + name + "." + policies[p],
-                          up, "%", obs::Direction::Info);
+            suite_acc[suite + "/" + p].push_back(up);
+            all_acc[p].push_back(up);
+            report.metric("speedup_pct." + name + "." + p, up, "%",
+                          obs::Direction::Info);
         }
         std::printf("\n");
         std::fflush(stdout);
@@ -138,27 +129,26 @@ main()
     std::printf("\n");
 
     std::map<std::string, std::vector<double>> grid_acc;
-    for (std::size_t s = 0; s < scenarios.size(); ++s) {
-        const auto &scen = scenarios[s];
-        const bench::SweepRunner::CellOutcome *row =
-            &rows[grid_base + s * grid_stride];
-        if (!row[0].ok()) {
+    for (const auto &scen : scenarios) {
+        const auto &base = outcome.at(scen + "/LRU");
+        if (!base.ok()) {
             std::printf("%-16s %9s (baseline quarantined)\n",
                         scen.c_str(), "n/a");
             continue;
         }
-        const auto &lru = row[0].row;
+        const auto &lru = base.row;
         std::printf("%-16s %9.3f", scen.c_str(), lru.ipc);
-        for (std::size_t p = 0; p < zoo.size(); ++p) {
-            if (!row[1 + p].ok()) {
+        for (const auto &p : zoo) {
+            const auto &cell = outcome.at(scen + "/" + p);
+            if (!cell.ok()) {
                 std::printf(" %10s", "n/a");
                 continue;
             }
-            double up = bench::speedupPct(lru, row[1 + p].row);
+            double up = bench::speedupPct(lru, cell.row);
             std::printf(" %9.1f%%", up);
-            grid_acc[zoo[p]].push_back(up);
-            report.metric("grid.speedup_pct." + scen + "." + zoo[p],
-                          up, "%", obs::Direction::Info);
+            grid_acc[p].push_back(up);
+            report.metric("grid.speedup_pct." + scen + "." + p, up, "%",
+                          obs::Direction::Info);
         }
         std::printf("\n");
         std::fflush(stdout);

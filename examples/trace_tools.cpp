@@ -1,7 +1,7 @@
 /**
  * @file
- * Trace tooling example: generate any registry workload, save its
- * trace to disk in the binary format, reload it, print Table 2-style
+ * Trace tooling example: generate any registry workload, write its
+ * trace to disk as gtrace, reload it, print Table 2-style
  * statistics for both the CPU-level and LLC-level streams, and show
  * the Belady-optimal hit rate — the full data path a replacement
  * study needs, end to end.
@@ -11,9 +11,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "opt/belady.hh"
 #include "opt/llc_stream.hh"
+#include "traces/gtrace.hh"
 #include "traces/trace_stats.hh"
 #include "workloads/registry.hh"
 
@@ -26,23 +28,42 @@ main(int argc, char **argv)
     std::uint64_t accesses =
         argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 500'000;
     std::string path =
-        argc > 3 ? argv[3] : "/tmp/glider_" + workload + ".trace";
+        argc > 3 ? argv[3] : "/tmp/glider_" + workload + ".gtrace";
 
     traces::Trace trace(workload);
     workloads::makeWorkload(workload, accesses)->run(trace);
 
-    if (!trace.save(path)) {
+    traces::GtraceWriter writer;
+    bool written = writer.open(path, trace.name());
+    for (std::size_t i = 0; written && i < trace.size(); ++i)
+        writer.push(trace[i]);
+    if (!written || !writer.finish()) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return 1;
     }
-    traces::Trace loaded;
-    if (!traces::Trace::load(path, loaded) ||
-        loaded.size() != trace.size()) {
+    traces::StreamingTrace stream;
+    std::string error;
+    if (!stream.open(path, &error)) {
+        std::fprintf(stderr, "cannot reopen %s: %s\n", path.c_str(),
+                     error.c_str());
+        return 1;
+    }
+    traces::Trace loaded(stream.name());
+    std::vector<traces::AccessRecord> buf(stream.maxChunkRecords());
+    for (std::size_t c = 0; c < stream.chunkCount(); ++c) {
+        std::size_t n = stream.readChunk(c, buf.data(), buf.size());
+        for (std::size_t i = 0; i < n; ++i)
+            loaded.push(buf[i]);
+    }
+    if (loaded.records() != trace.records()) {
         std::fprintf(stderr, "round-trip failed\n");
         return 1;
     }
-    std::printf("saved + reloaded %zu accesses via %s\n\n",
-                loaded.size(), path.c_str());
+    std::printf("wrote + reloaded %zu accesses via %s (%.2f B/access)"
+                "\n\n",
+                loaded.size(), path.c_str(),
+                static_cast<double>(stream.fileBytes())
+                    / static_cast<double>(loaded.size()));
 
     std::printf("%-14s %10s %8s %10s %10s %10s\n", "stream",
                 "#Accesses", "#PCs", "#Addrs", "Acc/PC", "Acc/Addr");

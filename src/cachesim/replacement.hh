@@ -21,8 +21,6 @@ class Registry; // metrics.hh; kept out of the hot-path header
 
 namespace sim {
 
-class BatchAdviceProvider; // advice.hh; kept out of this header
-
 /** Static shape of the cache a policy is driving. */
 struct CacheGeometry
 {
@@ -120,19 +118,6 @@ class ReplacementPolicy
     {
         (void)registry;
         (void)prefix;
-    }
-
-    /**
-     * Batched-advice capability probe: the provider whose
-     * serveAdviceBatch answers for this policy, or nullptr when the
-     * policy has no batched path. Wrapper policies (the checked
-     * build's invariant checker) forward to the wrapped policy so
-     * the capability stays visible through them.
-     */
-    virtual const BatchAdviceProvider *
-    adviceProvider() const
-    {
-        return nullptr;
     }
 };
 

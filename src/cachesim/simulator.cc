@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "advice.hh"
 #include "common/logging.hh"
 
 namespace glider {
@@ -108,23 +107,6 @@ runMultiCore(std::span<AccessSource *const> sources,
         res.workloads.push_back(s->name()); // glider-lint: allow(hotpath-alloc) per-run setup
     }
 
-    // Optional batched-advice probe: accumulate a window of recent
-    // accesses and replay it through the policy's batch interface
-    // against live state. Observation only — nothing about the
-    // simulation depends on the answers. Buffers are reserved once
-    // per run and reused per batch.
-    const BatchAdviceProvider *advisor = opts.advice_batch > 0
-        ? hier.llc().policy().adviceProvider()
-        : nullptr;
-    std::vector<AdviceQuery> advice_window;
-    std::vector<Advice> advice_answers;
-    if (advisor) {
-        // glider-lint: allow(hotpath-alloc) per-run setup
-        advice_window.reserve(opts.advice_batch);
-        // glider-lint: allow(hotpath-alloc) per-run setup
-        advice_answers.resize(opts.advice_batch);
-    }
-
     std::uint64_t warmup = static_cast<std::uint64_t>(
         opts.warmup_fraction * static_cast<double>(min_accesses_per_core));
     bool warm = warmup == 0;
@@ -166,27 +148,6 @@ runMultiCore(std::span<AccessSource *const> sources,
                                         rec.pc, addr, rec.is_write);
         models[next].step(depth, hier.latency(depth));
         ++executed[next];
-
-        if (advisor) {
-            // Window capacity is reserved once and the vector is
-            // cleared at batch size, so the warmed loop never grows.
-            // glider-lint: allow(hotpath-alloc) reserved in setup
-            advice_window.push_back(
-                {rec.pc, static_cast<std::uint8_t>(next)});
-            if (advice_window.size() == opts.advice_batch) {
-                advisor->serveAdviceBatch(
-                    advice_window,
-                    std::span<Advice>(advice_answers.data(),
-                                      advice_window.size()));
-                res.advice_queries += advice_window.size();
-                ++res.advice_batches;
-                for (std::size_t q = 0; q < advice_window.size(); ++q) {
-                    if (advice_answers[q].level != AdviceLevel::Averse)
-                        ++res.advice_friendly;
-                }
-                advice_window.clear();
-            }
-        }
 
         if (!warm) {
             if (executed[next] == warmup && --cold_cores == 0) {

@@ -21,8 +21,6 @@ namespace {
 const KnobInfo kKnobs[] = {
     {Knob::Accesses, "GLIDER_ACCESSES", "u64", "2000000",
      "Per-workload trace length in CPU accesses for bench sweeps."},
-    {Knob::AdviceBatch, "GLIDER_ADVICE_BATCH", "u64", "32",
-     "fig13 batched-advice group size per core."},
     {Knob::BenchDir, "GLIDER_BENCH_DIR", "string", ".",
      "Directory where BENCH_*.json reports are written."},
     {Knob::BenchJson, "GLIDER_BENCH_JSON", "flag", "1",

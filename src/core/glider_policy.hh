@@ -9,9 +9,8 @@
 #ifndef GLIDER_CORE_GLIDER_POLICY_HH
 #define GLIDER_CORE_GLIDER_POLICY_HH
 
-#include <array>
+#include <memory>
 
-#include "cachesim/advice.hh"
 #include "glider_predictor.hh"
 #include "policies/opt_guided.hh"
 
@@ -19,8 +18,7 @@ namespace glider {
 namespace core {
 
 /** Glider replacement (the paper's contribution). */
-class GliderPolicy : public policies::OptGuidedPolicy,
-                     public sim::BatchAdviceProvider
+class GliderPolicy : public policies::OptGuidedPolicy
 {
   public:
     explicit GliderPolicy(const GliderConfig &config = GliderConfig())
@@ -38,60 +36,8 @@ class GliderPolicy : public policies::OptGuidedPolicy,
                                                        geom.cores);
     }
 
-    /** Read access to the live predictor (for probes and tests). */
+    /** Read access to the live predictor (for tests). */
     const GliderPredictor &predictor() const { return *predictor_; }
-
-    const sim::BatchAdviceProvider *
-    adviceProvider() const override
-    {
-        return this;
-    }
-
-    /**
-     * Batched advice against the live predictor (the serving-layer
-     * query shape): each query is answered with the ISVM decision for
-     * its PC under the core's *current* PCHR feature. Read-only and
-     * allocation-free — chunked through predictMany's SIMD path with
-     * stack scratch.
-     */
-    void
-    serveAdviceBatch(std::span<const sim::AdviceQuery> queries,
-                     std::span<sim::Advice> out) const override
-    {
-        GLIDER_ASSERT(predictor_ != nullptr);
-        GLIDER_ASSERT(out.size() >= queries.size());
-        constexpr std::size_t kChunk = GliderPredictor::kBatchChunk;
-        std::array<PredictRequest, kChunk> requests;
-        std::array<Prediction, kChunk> predictions;
-        for (std::size_t base = 0; base < queries.size();
-             base += kChunk) {
-            std::size_t n = std::min(kChunk, queries.size() - base);
-            for (std::size_t i = 0; i < n; ++i) {
-                const sim::AdviceQuery &q = queries[base + i];
-                requests[i].pc = q.pc;
-                requests[i].core = q.core;
-                requests[i].counts =
-                    &predictor_->historyCounts(q.core);
-            }
-            predictor_->predictMany(
-                std::span<const PredictRequest>(requests.data(), n),
-                std::span<Prediction>(predictions.data(), n));
-            for (std::size_t i = 0; i < n; ++i) {
-                out[base + i].score = predictions[i].sum;
-                switch (predictions[i].level) {
-                  case GliderPrediction::FriendlyHigh:
-                    out[base + i].level = sim::AdviceLevel::FriendlyHigh;
-                    break;
-                  case GliderPrediction::FriendlyLow:
-                    out[base + i].level = sim::AdviceLevel::FriendlyLow;
-                    break;
-                  default:
-                    out[base + i].level = sim::AdviceLevel::Averse;
-                    break;
-                }
-            }
-        }
-    }
 
     void
     exportMetrics(obs::Registry &registry,

@@ -15,8 +15,6 @@
 #include <atomic>
 #include <cstdint>
 
-#include "cachesim/advice.hh"
-
 namespace glider {
 namespace serve {
 
@@ -25,6 +23,9 @@ enum class RequestKind : std::uint8_t {
     Advise, //!< predict for pc, then observe pc into the PCHR
     Train   //!< train on (pc, opt_hit), then observe pc
 };
+
+/** Coarse caching advice (mirrors Glider's three insertion priorities). */
+enum class AdviceLevel { FriendlyHigh, FriendlyLow, Averse };
 
 /** Why a response carries (or does not carry) a usable score. */
 enum class ResponseStatus : std::uint8_t {
@@ -36,7 +37,7 @@ enum class ResponseStatus : std::uint8_t {
 struct AdviceResponse
 {
     int score = 0; //!< raw ISVM decision sum (Advise only)
-    sim::AdviceLevel level = sim::AdviceLevel::FriendlyLow;
+    AdviceLevel level = AdviceLevel::FriendlyLow;
     ResponseStatus status = ResponseStatus::Ok;
     std::uint64_t served_ns = 0; //!< steady-clock stamp at completion
 };

@@ -42,18 +42,18 @@ namespace glider {
 namespace serve {
 
 /** Map a predictor decision to the wire-level advice enum. */
-inline sim::AdviceLevel
+inline AdviceLevel
 toAdviceLevel(core::GliderPrediction p)
 {
     switch (p) {
       case core::GliderPrediction::FriendlyHigh:
-        return sim::AdviceLevel::FriendlyHigh;
+        return AdviceLevel::FriendlyHigh;
       case core::GliderPrediction::FriendlyLow:
-        return sim::AdviceLevel::FriendlyLow;
+        return AdviceLevel::FriendlyLow;
       case core::GliderPrediction::Averse:
         break;
     }
-    return sim::AdviceLevel::Averse;
+    return AdviceLevel::Averse;
 }
 
 /** One tenant's predictor state plus serving bookkeeping. */

@@ -1,27 +1,7 @@
 #include "trace.hh"
 
-#include <cstdio>
-#include <cstring>
-
 namespace glider {
 namespace traces {
-
-namespace {
-
-constexpr char kMagic[8] = {'G', 'L', 'D', 'R', 'T', 'R', 'C', '1'};
-
-struct FileRecord
-{
-    std::uint64_t pc;
-    std::uint64_t address;
-    std::uint8_t core;
-    std::uint8_t is_write;
-    std::uint8_t pad[6];
-};
-
-static_assert(sizeof(FileRecord) == 24, "file record must be packed");
-
-} // namespace
 
 Trace
 Trace::slice(std::size_t first, std::size_t count) const
@@ -35,69 +15,6 @@ Trace::slice(std::size_t first, std::size_t count) const
     for (std::size_t i = first; i < last; ++i)
         out.push(records_[i]);
     return out;
-}
-
-bool
-Trace::save(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return false;
-    bool ok = std::fwrite(kMagic, sizeof(kMagic), 1, f) == 1;
-    std::uint64_t n = records_.size();
-    ok = ok && std::fwrite(&n, sizeof(n), 1, f) == 1;
-    for (std::size_t i = 0; ok && i < records_.size(); ++i) {
-        FileRecord fr{};
-        fr.pc = records_[i].pc;
-        fr.address = records_[i].address;
-        fr.core = records_[i].core;
-        fr.is_write = records_[i].is_write ? 1 : 0;
-        ok = std::fwrite(&fr, sizeof(fr), 1, f) == 1;
-    }
-    ok = std::fclose(f) == 0 && ok;
-    return ok;
-}
-
-bool
-Trace::load(const std::string &path, Trace &out)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    char magic[8];
-    bool ok = std::fread(magic, sizeof(magic), 1, f) == 1
-        && std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
-    std::uint64_t n = 0;
-    ok = ok && std::fread(&n, sizeof(n), 1, f) == 1;
-    // Diagnose truncation and trailing garbage up front: the byte
-    // count must be exactly header + n fixed-width records. A partial
-    // final record (torn write, interrupted copy) or extra bytes past
-    // the declared count both mean the file does not round-trip what
-    // save() wrote.
-    constexpr std::uint64_t kHeaderBytes =
-        sizeof(kMagic) + sizeof(std::uint64_t);
-    constexpr std::uint64_t kMaxRecords =
-        (UINT64_MAX - kHeaderBytes) / sizeof(FileRecord);
-    if (ok && n > kMaxRecords)
-        ok = false;
-    if (ok) {
-        long here = std::ftell(f);
-        ok = here >= 0 && std::fseek(f, 0, SEEK_END) == 0;
-        long end = ok ? std::ftell(f) : -1;
-        ok = ok && end >= 0
-            && static_cast<std::uint64_t>(end)
-                == kHeaderBytes + n * sizeof(FileRecord)
-            && std::fseek(f, here, SEEK_SET) == 0;
-    }
-    out = Trace(path);
-    for (std::uint64_t i = 0; ok && i < n; ++i) {
-        FileRecord fr{};
-        ok = std::fread(&fr, sizeof(fr), 1, f) == 1;
-        if (ok)
-            out.push(fr.pc, fr.address, fr.is_write != 0, fr.core);
-    }
-    std::fclose(f);
-    return ok && out.size() == n;
 }
 
 } // namespace traces

@@ -1,10 +1,10 @@
 /**
  * @file
- * In-memory access traces with binary file round-tripping.
+ * In-memory access traces.
  *
  * A Trace is the interchange format between the workload generators,
  * the cache simulator, the Belady oracle, and the offline learning
- * pipeline.
+ * pipeline. Its on-disk form is gtrace (gtrace.hh).
  */
 
 #ifndef GLIDER_TRACES_TRACE_HH
@@ -67,21 +67,6 @@ class Trace : public TraceSink
 
     /** Sub-trace of records [first, first+count), clamped to size. */
     Trace slice(std::size_t first, std::size_t count) const;
-
-    /**
-     * Serialise to a binary file (little-endian, fixed-width records
-     * behind a small magic/version header).
-     * @return true on success.
-     */
-    bool save(const std::string &path) const;
-
-    /**
-     * Deserialise a trace previously written by save(). Rejects files
-     * with a bad magic, a truncated header, fewer bytes than the
-     * declared record count requires (including a partial final
-     * record), or trailing bytes past the last record.
-     */
-    static bool load(const std::string &path, Trace &out);
 
   private:
     std::string name_;

@@ -60,14 +60,6 @@ class CheckedPolicy : public sim::ReplacementPolicy
         inner_->exportMetrics(registry, prefix);
     }
 
-    /** Forwarded so the batched-advice probe sees through the
-     * checker (checked builds keep the capability). */
-    const sim::BatchAdviceProvider *
-    adviceProvider() const override
-    {
-        return inner_->adviceProvider();
-    }
-
     void reset(const sim::CacheGeometry &geom) override;
     std::uint32_t victimWay(const sim::ReplacementAccess &access,
                             sim::SetView lines) override;

@@ -5,8 +5,12 @@
  * The traces are deterministic functions of fixed seeds and are
  * deliberately self-contained here — independent of the workload
  * kernels — so kernel evolution cannot silently invalidate the
- * golden regression counts in test_golden.cc. Rerun only when the
- * golden suite itself is being regenerated on purpose:
+ * golden regression counts in test_golden.cc. Each one streams
+ * through GtraceWriter to <output-dir>/<name>.gtrace (default chunk
+ * size), so the output is byte-for-byte reproducible; the
+ * golden_tracegen_* ctest entries check exactly that. Rerun into
+ * tests/data only when the golden suite itself is being regenerated
+ * on purpose:
  *
  *   ./build/tests/golden_tracegen tests/data
  *
@@ -18,7 +22,7 @@
 #include <string>
 
 #include "common/rng.hh"
-#include "traces/trace.hh"
+#include "traces/gtrace.hh"
 
 namespace glider {
 namespace {
@@ -29,11 +33,10 @@ namespace {
  * that LRU, Hawkeye, and Glider all make materially different
  * decisions on it.
  */
-traces::Trace
-goldenMix()
+void
+goldenMix(traces::TraceSink &t)
 {
     Rng rng(0xA11CE);
-    traces::Trace t("golden_mix");
     std::uint64_t cold = 1 << 20;
     for (int i = 0; i < 24000; ++i) {
         std::uint64_t block;
@@ -52,15 +55,13 @@ goldenMix()
         t.push(pc, block * 64, rng.chance(0.25),
                /*core=*/0);
     }
-    return t;
 }
 
 /** Scanning workload: repeated sweeps with random interjections. */
-traces::Trace
-goldenScan()
+void
+goldenScan(traces::TraceSink &t)
 {
     Rng rng(0x5CA9);
-    traces::Trace t("golden_scan");
     std::uint64_t pos = 0;
     for (int i = 0; i < 24000; ++i) {
         std::uint64_t block;
@@ -74,7 +75,6 @@ goldenScan()
         }
         t.push(pc, block * 64, false, 0);
     }
-    return t;
 }
 
 } // namespace
@@ -84,15 +84,27 @@ int
 main(int argc, char **argv)
 {
     std::string dir = argc > 1 ? argv[1] : "tests/data";
-    for (const auto &trace :
-         {glider::goldenMix(), glider::goldenScan()}) {
-        std::string path = dir + "/" + trace.name() + ".trace";
-        if (!trace.save(path)) {
+    const struct
+    {
+        const char *name;
+        void (*generate)(glider::traces::TraceSink &);
+    } goldens[] = {{"golden_mix", glider::goldenMix},
+                   {"golden_scan", glider::goldenScan}};
+    for (const auto &golden : goldens) {
+        std::string path = dir + "/" + golden.name + ".gtrace";
+        glider::traces::GtraceWriter writer;
+        bool ok = writer.open(path, golden.name);
+        if (ok) {
+            glider::traces::GtraceSink sink(writer);
+            golden.generate(sink);
+            ok = writer.finish();
+        }
+        if (!ok) {
             std::fprintf(stderr, "failed to write %s\n", path.c_str());
             return 1;
         }
-        std::printf("wrote %s (%zu accesses)\n", path.c_str(),
-                    trace.size());
+        std::printf("wrote %s (%llu accesses)\n", path.c_str(),
+                    static_cast<unsigned long long>(writer.pushed()));
     }
     return 0;
 }

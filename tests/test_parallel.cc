@@ -3,7 +3,7 @@
  * Tests for the parallel experiment infrastructure: the worker pool
  * (completion, exception propagation, shutdown), the process-wide
  * trace cache, and serial-vs-parallel determinism of the bench
- * SweepRunner.
+ * SweepRunner's keyed cells.
  */
 
 #include <gtest/gtest.h>
@@ -187,6 +187,15 @@ expectSameResult(const sim::SingleCoreResult &a,
     EXPECT_EQ(a.llc.bypasses, b.llc.bypasses);
 }
 
+/** bench::runPolicy over an in-memory trace. */
+sim::SingleCoreResult
+runOn(const traces::Trace &trace, const std::string &policy,
+      const CancelToken *cancel = nullptr)
+{
+    sim::TraceSource source(trace);
+    return bench::runPolicy(source, policy, cancel);
+}
+
 TEST(TraceCache, PerPolicyResultsUnchangedVsFreshTrace)
 {
     const std::uint64_t n = 20'000;
@@ -194,29 +203,35 @@ TEST(TraceCache, PerPolicyResultsUnchangedVsFreshTrace)
     workloads::makeWorkload("astar", n)->run(fresh);
 
     for (const char *policy : {"LRU", "DRRIP", "SHiP++"}) {
-        auto from_cache =
-            bench::runPolicy(workloads::cachedTrace("astar", n), policy);
-        auto from_fresh = bench::runPolicy(fresh, policy);
+        auto from_cache = runOn(workloads::cachedTrace("astar", n), policy);
+        auto from_fresh = runOn(fresh, policy);
         expectSameResult(from_cache, from_fresh);
     }
 }
 
 // --------------------------------------------------------- sweep runner
 
-/** Queue the test grid on @p sweep via explicit short traces. */
-void
-queueGrid(bench::SweepRunner &sweep,
-          const std::vector<std::string> &names,
-          const std::vector<std::string> &policies, std::uint64_t n)
+/** SweepOptions with no env dependence (no faults, no checkpoint). */
+bench::SweepRunner::SweepOptions
+hermeticOptions()
 {
-    for (const auto &name : names) {
-        for (const auto &policy : policies) {
-            sweep.addCell([name, policy, n] {
-                return bench::runPolicy(workloads::cachedTrace(name, n),
-                                        policy);
-            });
-        }
-    }
+    static const resilience::FaultPlan kNoFaults;
+    bench::SweepRunner::SweepOptions opts;
+    opts.verify_resumed = 0;
+    opts.faults = &kNoFaults;
+    return opts;
+}
+
+/** Queue @p policy on @p name's short cached trace, keyed name/policy. */
+void
+queueShort(bench::SweepRunner &sweep, const std::string &name,
+           const std::string &policy, std::uint64_t n)
+{
+    sweep.queueCell(name + "/" + policy,
+                    [name, policy, n](const CancelToken &cancel) {
+                        return runOn(workloads::cachedTrace(name, n),
+                                     policy, &cancel);
+                    });
 }
 
 TEST(SweepRunner, SerialAndParallelTablesIdentical)
@@ -226,25 +241,33 @@ TEST(SweepRunner, SerialAndParallelTablesIdentical)
     const std::vector<std::string> policies = {"LRU", "DRRIP", "SHiP++"};
 
     bench::SweepRunner serial(1);
-    queueGrid(serial, names, policies, n);
-    auto serial_rows = serial.run();
-
     bench::SweepRunner parallel(4);
     EXPECT_EQ(parallel.threads(), 4u);
-    queueGrid(parallel, names, policies, n);
-    EXPECT_EQ(parallel.pending(), names.size() * policies.size());
-    auto parallel_rows = parallel.run();
-    EXPECT_EQ(parallel.pending(), 0u);
+    for (const auto &name : names) {
+        for (const auto &policy : policies) {
+            queueShort(serial, name, policy, n);
+            queueShort(parallel, name, policy, n);
+        }
+    }
+    EXPECT_EQ(parallel.queuedCells(), names.size() * policies.size());
+    auto serial_out = serial.runChecked(hermeticOptions());
+    auto parallel_out = parallel.runChecked(hermeticOptions());
+    EXPECT_EQ(parallel.queuedCells(), 0u);
 
-    ASSERT_EQ(serial_rows.size(), parallel_rows.size());
-    for (std::size_t i = 0; i < serial_rows.size(); ++i)
-        expectSameResult(serial_rows[i], parallel_rows[i]);
+    ASSERT_EQ(serial_out.cells.size(), parallel_out.cells.size());
+    for (std::size_t i = 0; i < serial_out.cells.size(); ++i) {
+        ASSERT_TRUE(serial_out.cells[i].ok());
+        ASSERT_TRUE(parallel_out.cells[i].ok());
+        expectSameResult(serial_out.cells[i].row,
+                         parallel_out.cells[i].row);
+    }
 
-    // Rows come back in insertion order regardless of completion
-    // order: row i is (names[i / P], policies[i % P]).
-    for (std::size_t i = 0; i < parallel_rows.size(); ++i) {
-        EXPECT_EQ(parallel_rows[i].workload, names[i / policies.size()]);
-        EXPECT_EQ(parallel_rows[i].policy, policies[i % policies.size()]);
+    // Cells come back in insertion order regardless of completion
+    // order: cell i is (names[i / P], policies[i % P]).
+    for (std::size_t i = 0; i < parallel_out.cells.size(); ++i) {
+        const auto &row = parallel_out.cells[i].row;
+        EXPECT_EQ(row.workload, names[i / policies.size()]);
+        EXPECT_EQ(row.policy, policies[i % policies.size()]);
     }
 }
 
@@ -252,32 +275,17 @@ TEST(SweepRunner, MatchesDirectSerialHarness)
 {
     const std::uint64_t n = 20'000;
     bench::SweepRunner sweep(3);
-    sweep.addCell([n] {
-        return bench::runPolicy(workloads::cachedTrace("astar", n),
-                                "LRU");
-    });
-    sweep.addCell([n] {
-        return bench::runPolicy(workloads::cachedTrace("astar", n),
-                                "SHiP++");
-    });
-    auto rows = sweep.run();
-    ASSERT_EQ(rows.size(), 2u);
+    queueShort(sweep, "astar", "LRU", n);
+    queueShort(sweep, "astar", "SHiP++", n);
+    auto outcome = sweep.runChecked(hermeticOptions());
+    ASSERT_EQ(outcome.cells.size(), 2u);
+    EXPECT_FALSE(outcome.degraded());
 
-    expectSameResult(
-        rows[0],
-        bench::runPolicy(workloads::cachedTrace("astar", n), "LRU"));
-    expectSameResult(
-        rows[1],
-        bench::runPolicy(workloads::cachedTrace("astar", n), "SHiP++"));
-}
-
-TEST(SweepRunner, RethrowsCellExceptions)
-{
-    bench::SweepRunner sweep(2);
-    sweep.addCell([]() -> sim::SingleCoreResult {
-        throw std::runtime_error("cell failed");
-    });
-    EXPECT_THROW(sweep.run(), std::runtime_error);
+    expectSameResult(outcome.at("astar/LRU").row,
+                     runOn(workloads::cachedTrace("astar", n), "LRU"));
+    expectSameResult(outcome.at("astar/SHiP++").row,
+                     runOn(workloads::cachedTrace("astar", n), "SHiP++"));
+    EXPECT_THROW(outcome.at("astar/MIN"), std::out_of_range);
 }
 
 TEST(SweepRunner, ParallelMapPreservesItemOrder)

@@ -4,7 +4,7 @@
  * SIMD dot kernels against the scalar reference (exhaustive corners
  * plus fuzz), predictMany against per-access predict, the PCHR's
  * incrementally maintained slot counts against a from-scratch rescan,
- * and the simulator's batched-advice probe against an unprobed run.
+ * and predictMany over a live policy's PCHR against per-PC decisions.
  * Every backend the binary compiled in and the CPU supports is
  * exercised; the suite is the proof behind "bit-exact on all
  * backends".
@@ -15,15 +15,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "cachesim/simulator.hh"
+#include "cachesim/replacement.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "core/glider_policy.hh"
 #include "core/glider_predictor.hh"
 #include "core/isvm.hh"
 #include "core/pc_history_register.hh"
-#include "core/policy_factory.hh"
-#include "workloads/registry.hh"
 
 namespace glider {
 namespace core {
@@ -311,56 +309,37 @@ TEST(PredictMany, DispatchedBackendMatchesScalar)
     }
 }
 
-TEST(AdviceProbe, DoesNotPerturbSimulationResults)
-{
-    const auto &t0 = workloads::cachedTrace("mcf", 60'000);
-    const auto &t1 = workloads::cachedTrace("lbm", 60'000);
-    sim::SimOptions plain;
-    plain.hierarchy = sim::HierarchyConfig::forCores(2);
-    plain.warmup_fraction = 0.1;
-    sim::SimOptions probed = plain;
-    probed.advice_batch = 32;
-    auto base = sim::runMultiCore({&t0, &t1}, makePolicy("Glider"),
-                                  30'000, plain);
-    auto with = sim::runMultiCore({&t0, &t1}, makePolicy("Glider"),
-                                  30'000, probed);
-    // The probe is observation-only: every simulation statistic must
-    // be bit-identical with and without it.
-    EXPECT_EQ(base.llc.hits, with.llc.hits);
-    EXPECT_EQ(base.llc.misses, with.llc.misses);
-    EXPECT_EQ(base.ipc_shared, with.ipc_shared);
-    EXPECT_EQ(base.advice_queries, 0u);
-    EXPECT_EQ(base.advice_batches, 0u);
-    // ...and the probed run actually served batches.
-    EXPECT_GT(with.advice_batches, 0u);
-    EXPECT_EQ(with.advice_queries, with.advice_batches * 32);
-    EXPECT_LE(with.advice_friendly, with.advice_queries);
-}
-
-TEST(AdviceProbe, GliderServesBatchesAgainstLiveState)
+TEST(GliderPredictor, PredictManyOnLiveHistoryMatchesDecisionSum)
 {
     GliderPolicy policy;
-    policy.reset(sim::CacheGeometry{64, 16, 1});
-    // Feed accesses through the policy interface so the PCHR fills.
-    for (int i = 0; i < 64; ++i) {
+    policy.reset(sim::CacheGeometry{64, 16, 2});
+    // Feed accesses with reuse through the policy interface on both
+    // cores so each PCHR fills and OPTgen trains the ISVMs.
+    for (int i = 0; i < 2048; ++i) {
         sim::ReplacementAccess acc;
         acc.pc = 0x400000 + static_cast<std::uint64_t>(i % 6) * 4;
-        acc.block_addr = static_cast<std::uint64_t>(i) * 64;
+        acc.core = static_cast<std::uint8_t>(i % 2);
+        acc.block_addr = static_cast<std::uint64_t>(i % 24) * 64;
         acc.set = 0;
         policy.onInsert(acc, static_cast<std::uint32_t>(i % 16));
     }
-    std::vector<sim::AdviceQuery> queries(100);
-    for (std::size_t i = 0; i < queries.size(); ++i)
-        queries[i].pc = 0x400000 + (i % 6) * 4;
-    std::vector<sim::Advice> advice(queries.size());
-    const sim::BatchAdviceProvider &provider = policy;
-    provider.serveAdviceBatch(queries, advice);
     const GliderPredictor &pred = policy.predictor();
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-        EXPECT_EQ(advice[i].score,
-                  pred.decisionSum(queries[i].pc, queries[i].core))
-            << "query " << i;
+    std::vector<PredictRequest> requests(100);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        requests[i].pc = 0x400000 + (i % 6) * 4;
+        requests[i].core = static_cast<std::uint8_t>(i % 2);
+        requests[i].counts = &pred.historyCounts(requests[i].core);
     }
+    std::vector<Prediction> out(requests.size());
+    pred.predictMany(requests, out);
+    bool trained = false;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        EXPECT_EQ(out[i].sum,
+                  pred.decisionSum(requests[i].pc, requests[i].core))
+            << "request " << i;
+        trained = trained || out[i].sum != 0;
+    }
+    EXPECT_TRUE(trained) << "live ISVM weights never moved";
 }
 
 } // namespace

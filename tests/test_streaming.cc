@@ -189,6 +189,8 @@ TEST(Gtrace, ChunkSlicingMatchesTraceSlices)
 
 TEST(Gtrace, OpenRejectsBadMagic)
 {
+    // Files that are not gtrace at all: another format's header, a
+    // 0-byte file, and a path that does not exist.
     std::string path = tmpPath("badmagic");
     std::FILE *f = std::fopen(path.c_str(), "wb");
     std::fputs("GLDRTRC1 this is some other format entirely", f);
@@ -197,13 +199,21 @@ TEST(Gtrace, OpenRejectsBadMagic)
     std::string error;
     EXPECT_FALSE(st.open(path, &error));
     EXPECT_NE(error.find("magic"), std::string::npos) << error;
+
+    std::fclose(std::fopen(path.c_str(), "wb"));
+    EXPECT_FALSE(st.open(path, &error));
+    EXPECT_NE(error.find("empty file"), std::string::npos) << error;
+
     std::remove(path.c_str());
+    EXPECT_FALSE(st.open(path, &error));
+    EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }
 
 TEST(Gtrace, OpenRejectsTruncation)
 {
     // Every proper prefix of a valid file must be rejected: the chunk
     // walk or the trailer check catches the cut wherever it lands.
+    // So must the whole file with stale bytes past its trailer.
     Trace t("trunc");
     for (int i = 0; i < 300; ++i)
         t.push(0x400000 + i, 0x10000 + i * 64);
@@ -228,6 +238,20 @@ TEST(Gtrace, OpenRejectsTruncation)
         StreamingTrace st;
         std::string error;
         EXPECT_FALSE(st.open(path, &error)) << "cut at " << cut;
+    }
+    {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+                  bytes.size());
+        std::fputs("stale bytes from a previous longer trace", f);
+        std::fclose(f);
+        StreamingTrace st;
+        std::string error;
+        EXPECT_FALSE(st.open(path, &error));
+        EXPECT_NE(error.find("trailing bytes after the trailer"),
+                  std::string::npos)
+            << error;
     }
     std::remove(path.c_str());
 }

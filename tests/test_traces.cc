@@ -1,15 +1,14 @@
 /**
  * @file
- * Unit tests for src/traces: record semantics, trace container, file
- * round-trips, Table 2 statistics, the process-wide TraceCache, and
- * the determinism/shape guarantees of the workload generators that
+ * Unit tests for src/traces: record semantics, trace container,
+ * Table 2 statistics, the process-wide TraceCache, and the
+ * determinism/shape guarantees of the workload generators that
  * everything downstream (oracles, golden tests, benches) rests on.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <thread>
 #include <vector>
 
@@ -69,133 +68,6 @@ TEST(Trace, SliceClampsToBounds)
     EXPECT_EQ(s[0].address, 8u * 64);
     Trace empty = t.slice(20, 5);
     EXPECT_TRUE(empty.empty());
-}
-
-TEST(Trace, SaveLoadRoundTrip)
-{
-    Trace t("roundtrip");
-    for (int i = 0; i < 100; ++i)
-        t.push(0x400000 + i * 4, 0x10000 + i * 64, i % 3 == 0,
-               static_cast<std::uint8_t>(i % 4));
-    std::string path = "/tmp/glider_trace_test.bin";
-    ASSERT_TRUE(t.save(path));
-    Trace loaded;
-    ASSERT_TRUE(Trace::load(path, loaded));
-    ASSERT_EQ(loaded.size(), t.size());
-    for (std::size_t i = 0; i < t.size(); ++i)
-        EXPECT_EQ(loaded[i], t[i]);
-    std::remove(path.c_str());
-}
-
-TEST(Trace, LoadRejectsGarbage)
-{
-    std::string path = "/tmp/glider_trace_garbage.bin";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    std::fputs("not a trace file at all", f);
-    std::fclose(f);
-    Trace t;
-    EXPECT_FALSE(Trace::load(path, t));
-    std::remove(path.c_str());
-}
-
-TEST(Trace, LoadMissingFileFails)
-{
-    Trace t;
-    EXPECT_FALSE(Trace::load("/tmp/glider_no_such_file.bin", t));
-}
-
-/** Write @p t, then rewrite the file as its first @p bytes bytes. */
-void
-truncateFile(const std::string &path, long bytes)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::vector<char> data(static_cast<std::size_t>(bytes));
-    ASSERT_EQ(std::fread(data.data(), 1, data.size(), f), data.size());
-    std::fclose(f);
-    f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
-    std::fclose(f);
-}
-
-Trace
-smallTrace(int n)
-{
-    Trace t("fixture");
-    for (int i = 0; i < n; ++i)
-        t.push(0x400000 + i * 4, 0x10000 + i * 64, i % 2 == 0,
-               static_cast<std::uint8_t>(i % 3));
-    return t;
-}
-
-TEST(Trace, LoadRejectsPartialFinalRecord)
-{
-    // A torn write / interrupted copy: the final record is cut mid-way.
-    // Header is 16 bytes, each record 24; cut 10 bytes into record 5.
-    std::string path = "/tmp/glider_trace_torn.bin";
-    ASSERT_TRUE(smallTrace(5).save(path));
-    truncateFile(path, 16 + 4 * 24 + 10);
-    Trace t;
-    EXPECT_FALSE(Trace::load(path, t));
-    std::remove(path.c_str());
-}
-
-TEST(Trace, LoadRejectsMissingWholeRecords)
-{
-    // Truncated exactly at a record boundary: the byte count is
-    // self-consistent per record but short of the declared count.
-    std::string path = "/tmp/glider_trace_short.bin";
-    ASSERT_TRUE(smallTrace(5).save(path));
-    truncateFile(path, 16 + 3 * 24);
-    Trace t;
-    EXPECT_FALSE(Trace::load(path, t));
-    std::remove(path.c_str());
-}
-
-TEST(Trace, LoadRejectsTruncatedHeader)
-{
-    std::string path = "/tmp/glider_trace_hdr.bin";
-    ASSERT_TRUE(smallTrace(5).save(path));
-    truncateFile(path, 12); // magic survives, count does not
-    Trace t;
-    EXPECT_FALSE(Trace::load(path, t));
-    std::remove(path.c_str());
-}
-
-TEST(Trace, LoadRejectsTrailingGarbage)
-{
-    // Extra bytes past the declared record count: the file no longer
-    // round-trips what save() wrote, so it must be rejected rather
-    // than silently accepted.
-    std::string path = "/tmp/glider_trace_trailing.bin";
-    ASSERT_TRUE(smallTrace(5).save(path));
-    std::FILE *f = std::fopen(path.c_str(), "ab");
-    ASSERT_NE(f, nullptr);
-    std::fputs("stale bytes from a previous longer trace", f);
-    std::fclose(f);
-    Trace t;
-    EXPECT_FALSE(Trace::load(path, t));
-    std::remove(path.c_str());
-}
-
-TEST(Trace, LoadRejectsEmptyFile)
-{
-    std::string path = "/tmp/glider_trace_empty.bin";
-    std::fclose(std::fopen(path.c_str(), "wb"));
-    Trace t;
-    EXPECT_FALSE(Trace::load(path, t));
-    std::remove(path.c_str());
-}
-
-TEST(Trace, ZeroRecordTraceRoundTrips)
-{
-    std::string path = "/tmp/glider_trace_zero.bin";
-    ASSERT_TRUE(Trace("nothing").save(path));
-    Trace t;
-    EXPECT_TRUE(Trace::load(path, t));
-    EXPECT_TRUE(t.empty());
-    std::remove(path.c_str());
 }
 
 TEST(TraceStats, CountsUniquePcsAndBlocks)
