@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "cachesim/cache.hh"
 #include "common/rng.hh"
@@ -409,7 +411,7 @@ TEST(Sdbp, RunsOnUniformRandomWithoutPathology)
  * learning policy must beat LRU, across several geometry shapes.
  */
 class LearningBeatsLru
-    : public ::testing::TestWithParam<std::tuple<const char *, int>>
+    : public ::testing::TestWithParam<std::tuple<std::string, int>>
 {
 };
 
@@ -451,10 +453,13 @@ TEST_P(LearningBeatsLru, OnHotPlusStreamMix)
     EXPECT_GE(h_smart, h_lru) << policy_name << " ways=" << ways;
 }
 
+// std::string rather than const char *: gtest prints a pointer
+// parameter with its address, which would put a per-run address into
+// the discovered test name.
 INSTANTIATE_TEST_SUITE_P(
     PoliciesAndGeometries, LearningBeatsLru,
-    ::testing::Combine(::testing::Values("SHiP++", "SDBP", "Hawkeye",
-                                         "MPPPB"),
+    ::testing::Combine(::testing::Values(std::string("SHiP++"), "SDBP",
+                                         "Hawkeye", "MPPPB"),
                        ::testing::Values(4, 8, 16)));
 
 } // namespace
