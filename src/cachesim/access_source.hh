@@ -8,18 +8,22 @@
  * billion-access streaming path (StreamingSource: one decoded gtrace
  * chunk resident at a time, consumed pages dropped behind the cursor).
  * Both deliver identical record sequences, so streamed results are
- * bit-identical to in-memory ones by construction.
+ * bit-identical to in-memory ones by construction. A TraceSource also
+ * hands over the trace's memoised private-filter codes; a streamed
+ * source has none, and the driver filters each chunk as it arrives.
  */
 
 #ifndef GLIDER_CACHESIM_ACCESS_SOURCE_HH
 #define GLIDER_CACHESIM_ACCESS_SOURCE_HH
 
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/logging.hh"
+#include "private_filter.hh"
 #include "traces/gtrace.hh"
 #include "traces/trace.hh"
 
@@ -49,6 +53,17 @@ class AccessSource
 
     /** Restart delivery from the first record. */
     virtual void rewind() = 0;
+
+    /**
+     * The private-filter codes of one full pass under @p config's
+     * L1/L2, when the source keeps them (see PrivateFilter::of);
+     * nullptr otherwise.
+     */
+    virtual std::shared_ptr<const DepthCodes>
+    memoisedDepths(const HierarchyConfig &) const
+    {
+        return nullptr;
+    }
 };
 
 /** In-memory source: the whole trace as one zero-copy chunk. */
@@ -70,6 +85,12 @@ class TraceSource final : public AccessSource
     }
 
     void rewind() override { delivered_ = false; }
+
+    std::shared_ptr<const DepthCodes>
+    memoisedDepths(const HierarchyConfig &config) const override
+    {
+        return PrivateFilter::of(*trace_, config);
+    }
 
   private:
     const traces::Trace *trace_;

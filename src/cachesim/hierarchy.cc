@@ -1,6 +1,5 @@
 #include "hierarchy.hh"
 
-#include "basic_lru.hh"
 #include "common/logging.hh"
 #include "traces/access.hh"
 
@@ -18,12 +17,8 @@ Hierarchy::Hierarchy(const HierarchyConfig &config, unsigned cores,
                       64)
 {
     GLIDER_ASSERT(cores >= 1);
-    for (unsigned c = 0; c < cores; ++c) {
-        l1_.push_back(std::make_unique<Cache>(
-            config.l1, std::make_unique<BasicLruPolicy>()));
-        l2_.push_back(std::make_unique<Cache>(
-            config.l2, std::make_unique<BasicLruPolicy>()));
-    }
+    for (unsigned c = 0; c < cores; ++c)
+        private_.push_back(std::make_unique<PrivateFilter>(config));
     llc_ = std::make_unique<Cache>(config.llc, std::move(llc_policy),
                                    cores);
 }
@@ -36,9 +31,11 @@ Hierarchy::access(std::uint8_t core, std::uint64_t pc,
     std::uint64_t block = traces::blockAddr(byte_addr);
 
     AccessDepth depth = AccessDepth::Dram;
-    if (l1_[core]->access(core, pc, block, is_write)) {
+    PrivateDepth reached =
+        private_[core]->access(core, pc, block, is_write);
+    if (reached == PrivateDepth::L1) {
         depth = AccessDepth::L1;
-    } else if (l2_[core]->access(core, pc, block, is_write)) {
+    } else if (reached == PrivateDepth::L2) {
         depth = AccessDepth::L2;
     } else {
         ++llc_core_accesses_[core];
@@ -54,19 +51,18 @@ Hierarchy::access(std::uint8_t core, std::uint64_t pc,
 }
 
 std::uint32_t
-Hierarchy::latency(AccessDepth depth) const
+latencyOf(const HierarchyConfig &config, AccessDepth depth)
 {
     switch (depth) {
       case AccessDepth::L1:
-        return config_.l1.latency;
+        return config.l1.latency;
       case AccessDepth::L2:
-        return config_.l1.latency + config_.l2.latency;
+        return config.l1.latency + config.l2.latency;
       case AccessDepth::Llc:
-        return config_.l1.latency + config_.l2.latency
-            + config_.llc.latency;
+        return config.l1.latency + config.l2.latency + config.llc.latency;
       case AccessDepth::Dram:
-        return config_.l1.latency + config_.l2.latency
-            + config_.llc.latency + config_.dram_latency;
+        return config.l1.latency + config.l2.latency + config.llc.latency
+            + config.dram_latency;
     }
     GLIDER_PANIC("bad AccessDepth");
 }
@@ -77,8 +73,8 @@ Hierarchy::exportMetrics(obs::Registry &registry,
 {
     for (unsigned c = 0; c < cores_; ++c) {
         std::string core = "core" + std::to_string(c);
-        l1_[c]->exportMetrics(registry, prefix + ".l1." + core);
-        l2_[c]->exportMetrics(registry, prefix + ".l2." + core);
+        private_[c]->l1().exportMetrics(registry, prefix + ".l1." + core);
+        private_[c]->l2().exportMetrics(registry, prefix + ".l2." + core);
         registry.setCounter(prefix + ".llc." + core + ".accesses",
                             llc_core_accesses_[c]);
         registry.setCounter(prefix + ".llc." + core + ".misses",
@@ -99,10 +95,10 @@ Hierarchy::exportMetrics(obs::Registry &registry,
 void
 Hierarchy::clearStatsCounters()
 {
-    for (auto &c : l1_)
-        c->clearStats();
-    for (auto &c : l2_)
-        c->clearStats();
+    for (auto &p : private_) {
+        p->l1().clearStats();
+        p->l2().clearStats();
+    }
     llc_->clearStats();
     llc_core_accesses_.assign(cores_, 0);
     llc_core_misses_.assign(cores_, 0);

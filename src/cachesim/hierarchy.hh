@@ -13,6 +13,7 @@
 
 #include "cache.hh"
 #include "cache_config.hh"
+#include "private_filter.hh"
 
 namespace glider {
 namespace sim {
@@ -20,10 +21,13 @@ namespace sim {
 /** Deepest level an access had to travel to. */
 enum class AccessDepth { L1, L2, Llc, Dram };
 
+/** Round-trip latency (core cycles) of an access that reached @p depth. */
+std::uint32_t latencyOf(const HierarchyConfig &config, AccessDepth depth);
+
 /** Factory for the LLC policy under study. */
 using PolicyFactory = std::function<std::unique_ptr<ReplacementPolicy>()>;
 
-/** Private L1/L2 per core plus a shared LLC. */
+/** Private L1/L2 per core (a PrivateFilter each) plus a shared LLC. */
 class Hierarchy
 {
   public:
@@ -43,10 +47,14 @@ class Hierarchy
                        std::uint64_t byte_addr, bool is_write);
 
     /** Round-trip latency (core cycles) for a given depth. */
-    std::uint32_t latency(AccessDepth depth) const;
+    std::uint32_t
+    latency(AccessDepth depth) const
+    {
+        return latencyOf(config_, depth);
+    }
 
-    Cache &l1(unsigned core) { return *l1_[core]; }
-    Cache &l2(unsigned core) { return *l2_[core]; }
+    Cache &l1(unsigned core) { return private_[core]->l1(); }
+    Cache &l2(unsigned core) { return private_[core]->l2(); }
     Cache &llc() { return *llc_; }
     const Cache &llc() const { return *llc_; }
     const HierarchyConfig &config() const { return config_; }
@@ -77,8 +85,7 @@ class Hierarchy
   private:
     HierarchyConfig config_;
     unsigned cores_;
-    std::vector<std::unique_ptr<Cache>> l1_;
-    std::vector<std::unique_ptr<Cache>> l2_;
+    std::vector<std::unique_ptr<PrivateFilter>> private_; //!< per core
     std::unique_ptr<Cache> llc_;
     std::vector<std::uint64_t> llc_core_accesses_;
     std::vector<std::uint64_t> llc_core_misses_;

@@ -1,6 +1,8 @@
 #include "simulator.hh"
 
 #include <chrono>
+#include <optional>
+#include <stdexcept>
 
 #include "common/logging.hh"
 
@@ -28,6 +30,24 @@ struct ChunkCursor
     std::size_t pos = 0;
 };
 
+/**
+ * Accesses before the stats reset. Fractions outside [0, 1) (and NaN)
+ * are rejected: a negative one makes the conversion undefined; at 1
+ * the reset lands on the last access and nothing is measured; past 1
+ * it never comes and the warmup is measured.
+ */
+std::uint64_t
+warmupAccesses(double fraction, std::uint64_t accesses)
+{
+    if (!(fraction >= 0.0 && fraction < 1.0))
+        // glider-lint: allow(hotpath-transitive) option check, once
+        // per run before the replay loop starts
+        throw std::invalid_argument(
+            "SimOptions::warmup_fraction must be in [0, 1)");
+    return static_cast<std::uint64_t>(fraction
+                                      * static_cast<double>(accesses));
+}
+
 } // namespace
 
 SingleCoreResult
@@ -36,28 +56,69 @@ runSingleCore(AccessSource &source,
               const SimOptions &opts)
 {
     GLIDER_ASSERT(source.size() > 0);
-    Hierarchy hier(opts.hierarchy, 1, std::move(llc_policy));
+    const std::uint64_t warmup_end =
+        warmupAccesses(opts.warmup_fraction, source.size());
+    // L1 and L2 never depend on the LLC policy, so only the LLC is
+    // simulated here; the private depth of each access comes from the
+    // source's memoised codes, or from filtering each chunk as it
+    // arrives when the source keeps none (streamed traces).
+    Cache llc(opts.hierarchy.llc, std::move(llc_policy));
     CoreModel core(opts.core);
+    std::uint32_t latency[4];
+    for (AccessDepth d : {AccessDepth::L1, AccessDepth::L2,
+                          AccessDepth::Llc, AccessDepth::Dram})
+        latency[static_cast<int>(d)] = latencyOf(opts.hierarchy, d);
+
+    std::shared_ptr<const DepthCodes> memo =
+        source.memoisedDepths(opts.hierarchy);
+    GLIDER_ASSERT(!memo || memo->size() == source.size());
+    std::optional<PrivateFilter> filter;
+    DepthCodes chunk_codes;
+    if (!memo) {
+        // glider-lint: allow(hotpath-alloc) per-run setup
+        filter.emplace(opts.hierarchy);
+    }
 
     SingleCoreResult res;
     res.workload = source.name();
-    res.policy = hier.llc().policy().name();
+    res.policy = llc.policy().name();
 
-    auto warmup_end = static_cast<std::uint64_t>(
-        opts.warmup_fraction * static_cast<double>(source.size()));
     auto start = std::chrono::steady_clock::now();
     source.rewind();
     std::uint64_t i = 0;
     for (auto chunk = source.nextChunk(); !chunk.empty();
          chunk = source.nextChunk()) {
-        for (const auto &rec : chunk) {
+        // codes[first + k] is the private depth of chunk[k].
+        const DepthCodes *codes = memo.get();
+        std::uint64_t first = i;
+        if (!memo) {
+            filter->filter(chunk, chunk_codes);
+            codes = &chunk_codes;
+            first = 0;
+        }
+        for (std::size_t k = 0; k < chunk.size(); ++k) {
             if (opts.cancel && (i & kCancelCheckMask) == 0)
                 opts.cancel->throwIfCancelled();
-            AccessDepth depth =
-                hier.access(0, rec.pc, rec.address, rec.is_write);
-            core.step(depth, hier.latency(depth));
+            AccessDepth depth = AccessDepth::L1;
+            switch ((*codes)[first + k]) {
+              case PrivateDepth::L1:
+                break;
+              case PrivateDepth::L2:
+                depth = AccessDepth::L2;
+                break;
+              case PrivateDepth::Llc: {
+                const auto &rec = chunk[k];
+                depth = llc.access(0, rec.pc,
+                                   traces::blockAddr(rec.address),
+                                   rec.is_write)
+                    ? AccessDepth::Llc
+                    : AccessDepth::Dram;
+                break;
+              }
+            }
+            core.step(depth, latency[static_cast<int>(depth)]);
             if (++i == warmup_end) {
-                hier.clearStatsCounters();
+                llc.clearStats();
                 core.clearCounters();
             }
         }
@@ -71,7 +132,7 @@ runSingleCore(AccessSource &source,
     res.instructions = core.instructions();
     res.cycles = core.cycles();
     res.ipc = core.ipc();
-    res.llc = hier.llc().stats();
+    res.llc = llc.stats();
     return res;
 }
 
@@ -107,8 +168,8 @@ runMultiCore(std::span<AccessSource *const> sources,
         res.workloads.push_back(s->name()); // glider-lint: allow(hotpath-alloc) per-run setup
     }
 
-    std::uint64_t warmup = static_cast<std::uint64_t>(
-        opts.warmup_fraction * static_cast<double>(min_accesses_per_core));
+    const std::uint64_t warmup =
+        warmupAccesses(opts.warmup_fraction, min_accesses_per_core);
     bool warm = warmup == 0;
     // Countdown bookkeeping: per-core counters only ever cross their
     // quota once (increments are +1 and only reset at the warm

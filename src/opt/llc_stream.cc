@@ -1,9 +1,6 @@
 #include "llc_stream.hh"
 
-#include <memory>
-
-#include "cachesim/basic_lru.hh"
-#include "cachesim/cache.hh"
+#include "cachesim/private_filter.hh"
 
 namespace glider {
 namespace opt {
@@ -12,20 +9,11 @@ traces::Trace
 extractLlcStream(const traces::Trace &cpu_trace,
                  const sim::HierarchyConfig &config)
 {
-    // glider-lint: allow(hotpath-alloc) offline stream extraction
-    // runs once per trace before simulation; not the access path.
-    sim::Cache l1(config.l1, std::make_unique<sim::BasicLruPolicy>());
-    // glider-lint: allow(hotpath-alloc) same setup pass as above.
-    sim::Cache l2(config.l2, std::make_unique<sim::BasicLruPolicy>());
-
+    auto codes = sim::PrivateFilter::of(cpu_trace, config);
     traces::Trace out(cpu_trace.name() + ".llc");
-    for (const auto &rec : cpu_trace) {
-        std::uint64_t block = traces::blockAddr(rec.address);
-        if (l1.access(rec.core, rec.pc, block, rec.is_write))
-            continue;
-        if (l2.access(rec.core, rec.pc, block, rec.is_write))
-            continue;
-        out.push(rec);
+    for (std::size_t i = 0; i < cpu_trace.size(); ++i) {
+        if ((*codes)[i] == sim::PrivateDepth::Llc)
+            out.push(cpu_trace[i]);
     }
     return out;
 }

@@ -8,7 +8,9 @@
  * non-inclusive, the LLC access stream is identical regardless of
  * the LLC replacement policy under study — so it can be extracted
  * once per workload and reused by every offline model and by the
- * BeladyPolicy oracle rows.
+ * BeladyPolicy oracle rows. The extraction selects the LLC-bound
+ * records from sim::PrivateFilter's memoised codes, the same pass the
+ * single-core driver replays.
  */
 
 #ifndef GLIDER_OPT_LLC_STREAM_HH
@@ -21,8 +23,8 @@ namespace glider {
 namespace opt {
 
 /**
- * Filter @p cpu_trace through L1 and L2 (per Table 1, LRU) and return
- * the stream of accesses that reach the LLC.
+ * The accesses of @p cpu_trace that reach the LLC behind @p config's
+ * L1 and L2 (per Table 1, LRU), in order.
  */
 traces::Trace extractLlcStream(const traces::Trace &cpu_trace,
                                const sim::HierarchyConfig &config

@@ -13,7 +13,10 @@
  * "STREAM" differential (the trace round-tripped through the gtrace
  * codec and replayed via StreamingSource must decode record-exactly
  * and leave every simulation result bit-identical to the in-memory
- * replay).
+ * replay) and a "FILTER" differential (the single-core driver, which
+ * replays memoised or per-chunk private-filter codes and walks only
+ * the LLC, must match a full Hierarchy::access walk exactly, and
+ * extractLlcStream must equal the records that walk sent to the LLC).
  *
  * On failure the trace prefix is shrunk while the failure reproduces,
  * then a one-line reproducer is printed:
@@ -151,7 +154,55 @@ policyLineup()
     std::vector<std::string> names = core::policyNames();
     names.push_back("MIN");
     names.push_back("STREAM");
+    names.push_back("FILTER");
     return names;
+}
+
+/**
+ * Write @p trace as a gtrace at @p path with @p chunk records per
+ * chunk. @return an error message, or std::nullopt on success.
+ */
+std::optional<std::string>
+writeGtrace(const traces::Trace &trace, const std::string &path,
+            std::uint32_t chunk)
+{
+    traces::GtraceWriter writer;
+    if (!writer.open(path, trace.name(), chunk))
+        return "cannot create " + path;
+    for (const auto &rec : trace)
+        writer.push(rec);
+    if (!writer.finish())
+        return "write error on " + path;
+    return std::nullopt;
+}
+
+/** Temporary gtrace path for one differential case. */
+std::string
+tempGtracePath(const char *mode, std::uint64_t seed,
+               std::uint64_t case_index)
+{
+    return std::string("/tmp/glider_fuzz_") + mode + "."
+        + std::to_string(static_cast<unsigned long long>(
+            hashCombine(seed, case_index)))
+        + ".gtrace";
+}
+
+/** Demand bit-identical LLC and core-model results from two runs. */
+void
+requireSameResult(const sim::SingleCoreResult &got,
+                  const sim::SingleCoreResult &want,
+                  const std::string &what)
+{
+    verify::require(got.llc.hits == want.llc.hits
+                        && got.llc.misses == want.llc.misses
+                        && got.llc.accesses == want.llc.accesses
+                        && got.llc.evictions == want.llc.evictions
+                        && got.llc.bypasses == want.llc.bypasses,
+                    what + " changed LLC statistics");
+    verify::require(got.instructions == want.instructions
+                        && got.cycles == want.cycles
+                        && got.ipc == want.ipc,
+                    what + " changed core-model results");
 }
 
 /**
@@ -170,18 +221,9 @@ runStreamCase(std::uint64_t seed, std::uint64_t case_index,
         return std::nullopt;
     Rng rng(hashCombine(mix64(seed) ^ 0x57124Dull, case_index));
     auto chunk = static_cast<std::uint32_t>(1 + rng.below(64));
-    std::string path = "/tmp/glider_fuzz_stream."
-        + std::to_string(static_cast<unsigned long long>(
-            hashCombine(seed, case_index)))
-        + ".gtrace";
-
-    traces::GtraceWriter writer;
-    if (!writer.open(path, s.trace.name(), chunk))
-        return "STREAM differential: cannot create " + path;
-    for (const auto &rec : s.trace)
-        writer.push(rec);
-    if (!writer.finish())
-        return "STREAM differential: write error on " + path;
+    std::string path = tempGtracePath("stream", seed, case_index);
+    if (auto err = writeGtrace(s.trace, path, chunk))
+        return "STREAM differential: " + *err;
 
     auto fail = [&](std::string msg) {
         std::remove(path.c_str());
@@ -220,18 +262,86 @@ runStreamCase(std::uint64_t seed, std::uint64_t case_index,
     auto streamed = sim::runSingleCore(source, core::makePolicy("LRU"),
                                        opts);
     std::remove(path.c_str());
-    verify::require(streamed.llc.hits == mem.llc.hits
-                        && streamed.llc.misses == mem.llc.misses
-                        && streamed.llc.accesses == mem.llc.accesses
-                        && streamed.llc.evictions == mem.llc.evictions
-                        && streamed.llc.bypasses == mem.llc.bypasses,
-                    "STREAM differential: streamed replay changed LLC "
-                    "statistics");
-    verify::require(streamed.instructions == mem.instructions
-                        && streamed.cycles == mem.cycles
-                        && streamed.ipc == mem.ipc,
-                    "STREAM differential: streamed replay changed "
-                    "core-model results");
+    requireSameResult(streamed, mem,
+                      "STREAM differential: streamed replay");
+    return std::nullopt;
+}
+
+/**
+ * "FILTER" differential: the reference is the full three-level walk
+ * (Hierarchy::access on core 0 plus CoreModel, with the driver's
+ * warmup reset), which re-runs L1/L2 for every policy. The single-core
+ * driver must reproduce it exactly from the private-filter codes,
+ * both from the trace's memo and filtering a streamed copy chunk by
+ * chunk, and extractLlcStream must select exactly the records the
+ * reference sent to the LLC. The LLC policy is case-chosen.
+ */
+std::optional<std::string>
+runFilterCase(std::uint64_t seed, std::uint64_t case_index,
+              const Scenario &s)
+{
+    if (s.trace.empty())
+        return std::nullopt;
+    Rng rng(hashCombine(mix64(seed) ^ 0xF117E4ull, case_index));
+    const auto names = core::policyNames();
+    const std::string policy = names[rng.below(names.size())];
+    sim::SimOptions opts;
+    opts.hierarchy = s.hier;
+    opts.warmup_fraction = 0.25;
+
+    sim::Hierarchy hier(s.hier, 1, core::makePolicy(policy));
+    sim::CoreModel core(opts.core);
+    traces::Trace reached_llc;
+    const auto warmup_end = static_cast<std::uint64_t>(
+        opts.warmup_fraction * static_cast<double>(s.trace.size()));
+    for (std::uint64_t i = 0; i < s.trace.size(); ++i) {
+        const auto &rec = s.trace[i];
+        sim::AccessDepth depth =
+            hier.access(0, rec.pc, rec.address, rec.is_write);
+        if (depth == sim::AccessDepth::Llc
+            || depth == sim::AccessDepth::Dram)
+            reached_llc.push(rec);
+        core.step(depth, hier.latency(depth));
+        if (i + 1 == warmup_end) {
+            hier.clearStatsCounters();
+            core.clearCounters();
+        }
+    }
+    core.finish();
+    sim::SingleCoreResult ref;
+    ref.llc = hier.llc().stats();
+    ref.instructions = core.instructions();
+    ref.cycles = core.cycles();
+    ref.ipc = core.ipc();
+
+    auto mem = sim::runSingleCore(s.trace, core::makePolicy(policy), opts);
+    requireSameResult(mem, ref,
+                      "FILTER differential (" + policy
+                          + "): memoised replay");
+
+    std::string path = tempGtracePath("filter", seed, case_index);
+    if (auto err = writeGtrace(s.trace, path,
+                               static_cast<std::uint32_t>(
+                                   1 + rng.below(64))))
+        return "FILTER differential: " + *err;
+    traces::StreamingTrace st;
+    std::string error;
+    if (!st.open(path, &error)) {
+        std::remove(path.c_str());
+        return "FILTER differential: reopen failed: " + error;
+    }
+    sim::StreamingSource source(std::move(st));
+    auto streamed =
+        sim::runSingleCore(source, core::makePolicy(policy), opts);
+    std::remove(path.c_str());
+    requireSameResult(streamed, ref,
+                      "FILTER differential (" + policy
+                          + "): per-chunk filtered replay");
+
+    traces::Trace llc = opt::extractLlcStream(s.trace, s.hier);
+    verify::require(llc.records() == reached_llc.records(),
+                    "FILTER differential: extractLlcStream differs from "
+                    "the records the full walk sent to the LLC");
     return std::nullopt;
 }
 
@@ -247,6 +357,8 @@ runCase(std::uint64_t seed, std::uint64_t case_index,
     try {
         if (policy == "STREAM") {
             return runStreamCase(seed, case_index, s);
+        } else if (policy == "FILTER") {
+            return runFilterCase(seed, case_index, s);
         } else if (policy == "MIN") {
             // Differential: the replaying BeladyPolicy must reproduce
             // the batch oracle's hit count on the same LLC stream.
@@ -314,7 +426,9 @@ shrink(std::uint64_t seed, std::uint64_t case_index,
 {
     std::size_t step = len / 2;
     while (step >= 1) {
-        if (len - step >= 1
+        // step < len, not len - step >= 1: the subtraction is
+        // unsigned and would wrap once step overtakes len.
+        if (step < len
             && runCase(seed, case_index, policy, len - step)) {
             len -= step;
         } else {

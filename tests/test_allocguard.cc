@@ -9,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 
 #include "cachesim/cache.hh"
 #include "cachesim/core_model.hh"
 #include "cachesim/hierarchy.hh"
+#include "cachesim/private_filter.hh"
+#include "cachesim/simulator.hh"
 #include "common/alloc_guard.hh"
 #include "core/glider_predictor.hh"
 #include "core/policy_factory.hh"
@@ -114,6 +117,51 @@ TEST(AllocGuard, HierarchyAccessPathIsAllocationFree)
     }
     EXPECT_EQ(guard.allocations(), 0u)
         << "Hierarchy::access allocated on the warmed path";
+}
+
+TEST(AllocGuard, PrivateFilterChunkRefillIsAllocationFree)
+{
+    if (!allocGuardEnabled())
+        GTEST_SKIP() << "build with -DGLIDER_ALLOCGUARD=ON";
+    const auto &trace =
+        glider::workloads::cachedTrace("libquantum", 100'000);
+    std::span<const glider::traces::AccessRecord> records(
+        trace.records());
+    constexpr std::size_t kChunk = 4096;
+    glider::sim::PrivateFilter filter{glider::sim::HierarchyConfig()};
+    glider::sim::DepthCodes codes;
+    filter.filter(records.subspan(0, kChunk), codes);
+    ScopedAllocCheck guard;
+    for (std::size_t at = kChunk; at < records.size(); at += kChunk) {
+        filter.filter(records.subspan(at, std::min(kChunk,
+                                                   records.size() - at)),
+                      codes);
+    }
+    EXPECT_EQ(guard.allocations(), 0u)
+        << "PrivateFilter::filter allocated refilling a sized buffer";
+}
+
+TEST(AllocGuard, MemoisedReplayLoopIsAllocationFree)
+{
+    if (!allocGuardEnabled())
+        GTEST_SKIP() << "build with -DGLIDER_ALLOCGUARD=ON";
+    // runSingleCore allocates only in its per-run setup, so with the
+    // filter codes already memoised its allocation count must not
+    // grow with the number of accesses replayed.
+    const auto &shorter =
+        glider::workloads::cachedTrace("libquantum", 50'000);
+    const auto &longer =
+        glider::workloads::cachedTrace("libquantum", 100'000);
+    glider::sim::SimOptions opts;
+    auto allocations = [&](const glider::traces::Trace &trace) {
+        glider::sim::PrivateFilter::of(trace, opts.hierarchy);
+        ScopedAllocCheck guard;
+        glider::sim::runSingleCore(
+            trace, glider::core::makePolicy("SRRIP"), opts);
+        return guard.allocations();
+    };
+    EXPECT_EQ(allocations(longer), allocations(shorter))
+        << "the single-core replay loop allocated per access";
 }
 
 TEST(AllocGuard, CoreModelStepIsAllocationFree)

@@ -1,17 +1,25 @@
 /**
  * @file
  * Unit tests for src/cachesim: cache mechanics, hierarchy routing,
- * the core timing model, and the simulation drivers.
+ * the core timing model, the private-filter memo, and the simulation
+ * drivers.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "cachesim/basic_lru.hh"
 #include "cachesim/cache.hh"
 #include "cachesim/core_model.hh"
 #include "cachesim/hierarchy.hh"
+#include "cachesim/private_filter.hh"
 #include "cachesim/simulator.hh"
 
 namespace glider {
@@ -369,6 +377,200 @@ TEST(Simulator, MultiCoreLlcIsSharedCapacity)
                                std::make_unique<BasicLruPolicy>(),
                                30000, opts);
     EXPECT_LE(shared.ipc_shared[0], solo.ipc_shared[0] * 1.02);
+}
+
+} // namespace
+} // namespace sim
+} // namespace glider
+
+namespace glider {
+namespace sim {
+namespace {
+
+/** A trace that exercises all three private depths. */
+traces::Trace
+mixedTrace(std::size_t n)
+{
+    traces::Trace t("mixed");
+    for (std::size_t i = 0; i < n; ++i) {
+        // A hot set that stays in L1, a warm one for L2, and a
+        // stream that misses both.
+        std::uint64_t block = i % 3 == 0 ? i % 16
+            : i % 3 == 1                 ? 1000 + i % 2048
+                                         : 100000 + i;
+        t.push(0x400000 + (i % 7) * 4, block * 64, i % 5 == 0);
+    }
+    return t;
+}
+
+TEST(PrivateFilterMemo, CodesMatchTheHierarchyWalk)
+{
+    auto t = mixedTrace(20000);
+    HierarchyConfig cfg;
+    auto codes = PrivateFilter::of(t, cfg);
+    ASSERT_EQ(codes->size(), t.size());
+    EXPECT_LE(codes->bytes(), t.size() / 4 + 8);
+
+    Hierarchy hier(cfg, 1, std::make_unique<BasicLruPolicy>());
+    std::uint64_t llc = 0;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        AccessDepth d = hier.access(0, t[i].pc, t[i].address,
+                                    t[i].is_write);
+        PrivateDepth want = d == AccessDepth::L1 ? PrivateDepth::L1
+            : d == AccessDepth::L2               ? PrivateDepth::L2
+                                                 : PrivateDepth::Llc;
+        ASSERT_EQ((*codes)[i], want) << "access " << i;
+        llc += want == PrivateDepth::Llc;
+    }
+    EXPECT_EQ(codes->llcCount(), llc);
+    EXPECT_GT(llc, 0u);
+    EXPECT_LT(llc, t.size());
+}
+
+TEST(PrivateFilterMemo, SameTraceAndShapeBuildOnce)
+{
+    auto t = mixedTrace(5000);
+    HierarchyConfig cfg;
+    auto a = PrivateFilter::of(t, cfg);
+    auto b = PrivateFilter::of(t, cfg);
+    EXPECT_EQ(a.get(), b.get());
+}
+
+TEST(PrivateFilterMemo, PushAndTruncateForceARebuild)
+{
+    auto t = mixedTrace(5000);
+    HierarchyConfig cfg;
+    auto before = PrivateFilter::of(t, cfg);
+    t.push(0x400000, 0x1234 * 64);
+    auto pushed = PrivateFilter::of(t, cfg);
+    EXPECT_NE(pushed.get(), before.get());
+    EXPECT_EQ(pushed->size(), 5001u);
+
+    t.truncate(4000);
+    auto truncated = PrivateFilter::of(t, cfg);
+    EXPECT_NE(truncated.get(), pushed.get());
+    EXPECT_EQ(truncated->size(), 4000u);
+    // Shortening keeps a prefix, so its codes are a prefix too.
+    for (std::uint64_t i = 0; i < truncated->size(); ++i)
+        ASSERT_EQ((*truncated)[i], (*before)[i]) << "access " << i;
+
+    // Truncating to a length the trace already has is no change.
+    t.truncate(4000);
+    EXPECT_EQ(PrivateFilter::of(t, cfg).get(), truncated.get());
+}
+
+TEST(PrivateFilterMemo, EachL1L2ShapeGetsItsOwnCodes)
+{
+    auto t = mixedTrace(5000);
+    HierarchyConfig base;
+    auto codes = PrivateFilter::of(t, base);
+
+    HierarchyConfig l1 = base;
+    l1.l1.size_bytes *= 2;
+    EXPECT_NE(PrivateFilter::of(t, l1).get(), codes.get());
+
+    HierarchyConfig l2 = base;
+    l2.l2.ways *= 2;
+    EXPECT_NE(PrivateFilter::of(t, l2).get(), codes.get());
+
+    // The LLC and the latencies play no part in the private pass.
+    HierarchyConfig four = HierarchyConfig::forCores(4);
+    four.l1.latency += 1;
+    EXPECT_EQ(PrivateFilter::of(t, four).get(), codes.get());
+    EXPECT_EQ(PrivateFilter::of(t, base).get(), codes.get());
+}
+
+TEST(PrivateFilterMemo, CopiesStartCold)
+{
+    auto t = mixedTrace(5000);
+    HierarchyConfig cfg;
+    auto codes = PrivateFilter::of(t, cfg);
+    traces::Trace copy = t;
+    EXPECT_NE(PrivateFilter::of(copy, cfg).get(), codes.get());
+    // A move carries the memo along with the records.
+    traces::Trace moved = std::move(t);
+    EXPECT_EQ(PrivateFilter::of(moved, cfg).get(), codes.get());
+}
+
+TEST(PrivateFilterMemo, ConcurrentFirstTouchBuildsOnce)
+{
+    constexpr int kThreads = 8;
+    auto t = mixedTrace(50000);
+    HierarchyConfig cfg;
+    std::atomic<int> ready{0};
+    std::vector<std::shared_ptr<const DepthCodes>> got(kThreads);
+    {
+        std::vector<std::jthread> pool;
+        for (int i = 0; i < kThreads; ++i) {
+            pool.emplace_back([&, i] {
+                ready.fetch_add(1, std::memory_order_acq_rel);
+                while (ready.load(std::memory_order_acquire) < kThreads) {
+                }
+                got[i] = PrivateFilter::of(t, cfg);
+            });
+        }
+    }
+    for (int i = 1; i < kThreads; ++i)
+        EXPECT_EQ(got[i].get(), got[0].get());
+
+    // The memo builds under its lock: one build however many ask.
+    std::atomic<int> builds{0};
+    ready = 0;
+    std::vector<std::shared_ptr<const int>> values(kThreads);
+    {
+        std::vector<std::jthread> pool;
+        for (int i = 0; i < kThreads; ++i) {
+            pool.emplace_back([&, i] {
+                ready.fetch_add(1, std::memory_order_acq_rel);
+                while (ready.load(std::memory_order_acquire) < kThreads) {
+                }
+                values[i] = t.memo().get<int>({1, 2, 3, 4}, [&] {
+                    builds.fetch_add(1, std::memory_order_relaxed);
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(5));
+                    return std::make_shared<const int>(42);
+                });
+            });
+        }
+    }
+    EXPECT_EQ(builds.load(), 1);
+    for (const auto &v : values)
+        EXPECT_EQ(*v, 42);
+}
+
+TEST(Simulator, RejectsWarmupFractionOutsideUnitInterval)
+{
+    auto trace = streamingTrace(1000, 1);
+    for (double bad : {-0.1, 1.0, 1.5,
+                       std::numeric_limits<double>::quiet_NaN()}) {
+        SimOptions opts;
+        opts.warmup_fraction = bad;
+        EXPECT_THROW(runSingleCore(trace,
+                                   std::make_unique<BasicLruPolicy>(),
+                                   opts),
+                     std::invalid_argument)
+            << bad;
+        EXPECT_THROW(runMultiCore({&trace},
+                                  std::make_unique<BasicLruPolicy>(), 500,
+                                  opts),
+                     std::invalid_argument)
+            << bad;
+    }
+}
+
+TEST(Simulator, AcceptsWarmupFractionInsideUnitInterval)
+{
+    auto trace = streamingTrace(1000, 1);
+    for (double good : {0.0, 0.5, 0.999}) {
+        SimOptions opts;
+        opts.warmup_fraction = good;
+        auto single = runSingleCore(
+            trace, std::make_unique<BasicLruPolicy>(), opts);
+        EXPECT_GT(single.instructions, 0u) << good;
+        auto multi = runMultiCore(
+            {&trace}, std::make_unique<BasicLruPolicy>(), 500, opts);
+        EXPECT_GT(multi.ipc_shared[0], 0.0) << good;
+    }
 }
 
 } // namespace
