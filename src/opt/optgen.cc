@@ -1,6 +1,7 @@
 #include "optgen.hh"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "common/hash.hh"
@@ -162,7 +163,9 @@ OptGenSet::popExpired()
 }
 
 OptGenSampler::OptGenSampler(std::uint64_t sets, std::uint32_t ways,
-                             std::uint64_t sampled_sets)
+                             std::uint64_t sampled_sets,
+                             std::size_t window_quanta_per_way,
+                             std::size_t entries_per_way)
 {
     GLIDER_ASSERT(sets >= 1);
     sets_ = sets;
@@ -181,9 +184,11 @@ OptGenSampler::OptGenSampler(std::uint64_t sets, std::uint32_t ways,
     sampled_.reserve(sampled_sets);
     for (std::uint64_t i = 0; i < sampled_sets; ++i) {
         sample_index_[order[i]] = static_cast<std::int32_t>(i);
-        sampled_.emplace_back(ways, 8 * ways,
-                              static_cast<std::size_t>(2 * ways));
+        sampled_.emplace_back(ways, window_quanta_per_way * ways,
+                              entries_per_way * ways);
     }
+    // At least one word, so nextPending never reads an empty mask.
+    pending_.assign(sampled_.size() / 64 + 1, 0);
 }
 
 bool
@@ -199,9 +204,13 @@ OptGenSampler::access(std::uint64_t set, std::uint64_t block,
                       bool predicted_friendly, bool prediction_valid)
 {
     GLIDER_ASSERT(isSampled(set));
-    return sampled_[static_cast<std::size_t>(sample_index_[set])]
-        .access(block, pc, core, history, predicted_friendly,
-                prediction_valid);
+    auto slot = static_cast<std::size_t>(sample_index_[set]);
+    OptGenSet &og = sampled_[slot];
+    auto ev = og.access(block, pc, core, history, predicted_friendly,
+                        prediction_valid);
+    if (og.hasExpired())
+        pending_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    return ev;
 }
 
 OptGenSet::Stats
@@ -228,19 +237,40 @@ OptGenSampler::occupancyUtilization() const
     return sum / static_cast<double>(sampled_.size());
 }
 
+std::size_t
+OptGenSampler::nextPending(std::size_t from) const
+{
+    // Mask off the slots before @p from in its word, visit every word
+    // once, then revisit that first word whole for the wrapped slots.
+    std::size_t word = from / 64;
+    std::uint64_t bits =
+        pending_[word] & (~std::uint64_t{0} << (from % 64));
+    for (std::size_t n = 0; n <= pending_.size(); ++n) {
+        if (bits)
+            return word * 64
+                + static_cast<std::size_t>(std::countr_zero(bits));
+        word = word + 1 == pending_.size() ? 0 : word + 1;
+        bits = pending_[word];
+    }
+    return sampled_.size();
+}
+
 std::optional<TrainingEvent>
 OptGenSampler::popExpired()
 {
-    // Round-robin drain: the cursor advances whether or not the set
-    // produced an event, so one hot set cannot drain exhaustively
-    // while other sets' expired negatives go stale behind it.
-    for (std::size_t n = 0; n < sampled_.size(); ++n) {
-        auto ev = sampled_[drain_cursor_].popExpired();
-        drain_cursor_ = (drain_cursor_ + 1) % sampled_.size();
-        if (ev)
-            return ev;
-    }
-    return std::nullopt;
+    // Round-robin drain: the cursor moves past each set it serves, so
+    // one hot set cannot drain exhaustively while other sets' expired
+    // negatives go stale behind it. Sets without events are skipped
+    // through the pending bitmask, not visited.
+    std::size_t slot = nextPending(drain_cursor_);
+    if (slot == sampled_.size())
+        return std::nullopt;
+    OptGenSet &og = sampled_[slot];
+    auto ev = og.popExpired();
+    if (!og.hasExpired())
+        pending_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+    drain_cursor_ = slot + 1 == sampled_.size() ? 0 : slot + 1;
+    return ev;
 }
 
 } // namespace opt

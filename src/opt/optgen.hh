@@ -83,6 +83,9 @@ class OptGenSet
      */
     std::optional<TrainingEvent> popExpired();
 
+    /** @return true while popExpired() has events to hand out. */
+    bool hasExpired() const { return !expired_.empty(); }
+
     std::uint64_t clock() const { return clock_; }
 
     const Stats &stats() const { return stats_; }
@@ -128,6 +131,13 @@ class OptGenSet
  * rather than by stride, so that regular address-layout strides in
  * the workload (e.g. multi-line objects) cannot alias with the
  * sample and starve some PCs of training.
+ *
+ * Drain order: popExpired() serves the sampled sets round-robin in
+ * slot order, one event per visit, starting at a cursor that moves
+ * past each set it serves. A bitmask of the sets with queued events
+ * lets it jump straight to the next one, so a drain costs the same
+ * however many sets are sampled; the order is exactly that of a
+ * linear scan over every slot.
  */
 class OptGenSampler
 {
@@ -136,9 +146,15 @@ class OptGenSampler
      * @param sets Total LLC sets.
      * @param ways LLC associativity.
      * @param sampled_sets How many sets to sample (spread evenly).
+     * @param window_quanta_per_way Per-set OPTgen window, in quanta
+     *        per way (Hawkeye uses 8x the associativity).
+     * @param entries_per_way Per-set tracked-address budget, in
+     *        entries per way.
      */
     OptGenSampler(std::uint64_t sets, std::uint32_t ways,
-                  std::uint64_t sampled_sets = 64);
+                  std::uint64_t sampled_sets = 64,
+                  std::size_t window_quanta_per_way = 8,
+                  std::size_t entries_per_way = 2);
 
     /** @return true if @p set is sampled. */
     bool isSampled(std::uint64_t set) const;
@@ -152,7 +168,10 @@ class OptGenSampler
                                         bool predicted_friendly,
                                         bool prediction_valid);
 
-    /** Drain expired-entry negative events across all sampled sets. */
+    /**
+     * Drain expired-entry negative events across all sampled sets,
+     * one per call, in the round-robin order described above.
+     */
     std::optional<TrainingEvent> popExpired();
 
     std::size_t sampledSets() const { return sampled_.size(); }
@@ -164,9 +183,13 @@ class OptGenSampler
     double occupancyUtilization() const;
 
   private:
+    /** First slot with queued events at or after @p from, wrapping. */
+    std::size_t nextPending(std::size_t from) const;
+
     std::uint64_t sets_;
     std::vector<std::int32_t> sample_index_; //!< set -> slot or -1
     std::vector<OptGenSet> sampled_;
+    std::vector<std::uint64_t> pending_; //!< bit per slot with events
     std::size_t drain_cursor_ = 0;
 };
 

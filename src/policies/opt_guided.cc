@@ -20,10 +20,8 @@ OptGuidedPolicy::reset(const sim::CacheGeometry &geom)
                                                     sampled);
     accuracy_ = PredictorAccuracy{};
     per_pc_accuracy_.clear();
-    rrpv_.assign(geom.sets * geom.ways, kMaxRrpv);
+    lines_.assign(geom.sets * geom.ways, LineState{});
     line_pc_.assign(geom.sets * geom.ways, 0);
-    line_core_.assign(geom.sets * geom.ways, 0);
-    line_friendly_.assign(geom.sets * geom.ways, 0);
 }
 
 void
@@ -61,26 +59,26 @@ std::uint32_t
 OptGuidedPolicy::victimWay(const sim::ReplacementAccess &access,
                            sim::SetView lines) noexcept
 {
-    std::uint8_t *row = &rrpv_[access.set * geom_.ways];
+    const LineState *row = &lines_[access.set * geom_.ways];
     for (std::uint32_t w = 0; w < geom_.ways; ++w) {
         if (!lines[w].valid)
             return w;
     }
     // Cache-averse lines go first...
     for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-        if (row[w] >= kMaxRrpv)
+        if (row[w].rrpv >= kMaxRrpv)
             return w;
     }
     // ...otherwise the oldest cache-friendly line; the predictor was
     // wrong about it, so the inserting context is detrained.
     std::uint32_t victim = 0;
     for (std::uint32_t w = 1; w < geom_.ways; ++w) {
-        if (row[w] > row[victim])
+        if (row[w].rrpv > row[victim].rrpv)
             victim = w;
     }
-    std::size_t idx = access.set * geom_.ways + victim;
-    if (line_friendly_[idx])
-        onFriendlyEviction(line_pc_[idx], line_core_[idx]);
+    if (row[victim].friendly)
+        onFriendlyEviction(line_pc_[access.set * geom_.ways + victim],
+                           row[victim].core);
     return victim;
 }
 
@@ -94,9 +92,9 @@ OptGuidedPolicy::onHit(const sim::ReplacementAccess &access,
 
     std::size_t idx = access.set * geom_.ways + way;
     line_pc_[idx] = access.pc;
-    line_core_[idx] = access.core;
-    line_friendly_[idx] = pred != Pred::Averse;
-    rrpv_[idx] = pred == Pred::Averse ? kMaxRrpv : 0;
+    bool friendly = pred != Pred::Averse;
+    lines_[idx] = {friendly ? std::uint8_t{0} : kMaxRrpv, friendly,
+                   access.core};
 }
 
 void
@@ -113,32 +111,26 @@ OptGuidedPolicy::onInsert(const sim::ReplacementAccess &access,
     Pred pred = predictAccess(access);
     sample(access, pred);
 
-    std::uint8_t *row = &rrpv_[access.set * geom_.ways];
-    std::size_t idx = access.set * geom_.ways + way;
-    line_pc_[idx] = access.pc;
-    line_core_[idx] = access.core;
-    line_friendly_[idx] = pred != Pred::Averse;
+    LineState *row = &lines_[access.set * geom_.ways];
+    line_pc_[access.set * geom_.ways + way] = access.pc;
 
     switch (pred) {
       case Pred::Averse:
-        row[way] = kMaxRrpv;
+        row[way] = {kMaxRrpv, false, access.core};
         return;
       case Pred::FriendlyLow:
-        row[way] = 2;
+        row[way] = {2, true, access.core};
         break;
       case Pred::FriendlyHigh:
-        row[way] = 0;
+        row[way] = {0, true, access.core};
         break;
     }
     // A friendly insertion ages the other friendly lines so that
     // "oldest friendly" approximates LRU order among friendly lines
     // (the Hawkeye aging rule; saturates below the averse level).
     for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-        std::size_t other = access.set * geom_.ways + w;
-        if (w != way && line_friendly_[other]
-            && row[w] < kMaxRrpv - 1) {
-            ++row[w];
-        }
+        if (w != way && row[w].friendly && row[w].rrpv < kMaxRrpv - 1)
+            ++row[w].rrpv;
     }
 }
 

@@ -110,6 +110,20 @@ class OptGuidedPolicy : public sim::ReplacementPolicy
     sim::CacheGeometry geom_;
 
   private:
+    /**
+     * Per-line RRIP state in 2 bytes, so a set's ways form one
+     * contiguous row (32 B at 16 ways) that victim selection and the
+     * friendly-insert aging loop each walk once. The inserting PC is
+     * kept apart in line_pc_: it is read only on a friendly eviction.
+     */
+    struct LineState
+    {
+        std::uint8_t rrpv : 7 = kMaxRrpv;
+        std::uint8_t friendly : 1 = 0; //!< inserted cache-friendly
+        std::uint8_t core = 0;         //!< core of the inserting access
+    };
+    static_assert(sizeof(LineState) == 2);
+
     /** Run the sampler/trainer pipeline for one access. */
     void sample(const sim::ReplacementAccess &access, Pred prediction);
     void handleEvent(const opt::TrainingEvent &event);
@@ -118,10 +132,8 @@ class OptGuidedPolicy : public sim::ReplacementPolicy
     PredictorAccuracy accuracy_;
     std::unordered_map<std::uint64_t, PredictorAccuracy>
         per_pc_accuracy_;
-    std::vector<std::uint8_t> rrpv_;
+    std::vector<LineState> lines_; //!< sets x ways, row per set
     std::vector<std::uint64_t> line_pc_;
-    std::vector<std::uint8_t> line_core_;
-    std::vector<std::uint8_t> line_friendly_;
 };
 
 } // namespace policies

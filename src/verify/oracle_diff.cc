@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
 
-#include "common/hash.hh"
 #include "common/logging.hh"
 #include "opt/belady.hh"
 #include "opt/optgen.hh"
@@ -53,25 +51,12 @@ diffOracles(const traces::Trace &llc_stream,
         opt::simulateBelady(llc_stream, config.sets, config.ways);
     res.belady_hit_rate = exact.hitRate();
 
-    // Sampled sets, hash-ranked exactly like opt::OptGenSampler so the
-    // differential sees the same sets the live policies train on.
-    std::uint64_t sampled_sets =
-        std::min<std::uint64_t>(config.sampled_sets, config.sets);
-    std::vector<std::uint64_t> order(config.sets);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [](std::uint64_t a, std::uint64_t b) {
-                  return mix64(a) < mix64(b);
-              });
-    std::vector<std::int32_t> slot_of(config.sets, -1);
-    std::vector<opt::OptGenSet> slots;
-    slots.reserve(sampled_sets);
-    for (std::uint64_t i = 0; i < sampled_sets; ++i) {
-        slot_of[order[i]] = static_cast<std::int32_t>(i);
-        slots.emplace_back(config.ways,
-                           config.window_quanta_per_way * config.ways,
-                           config.entries_per_way * config.ways);
-    }
+    // The live policies' sampler, so the differential sees the same
+    // sets they train on.
+    opt::OptGenSampler sampler(config.sets, config.ways,
+                               config.sampled_sets,
+                               config.window_quanta_per_way,
+                               config.entries_per_way);
 
     // OPTgen events name only (pc, block); to line them up with the
     // exact oracle's per-access labels we track, per block, the index
@@ -99,21 +84,20 @@ diffOracles(const traces::Trace &llc_stream,
         const auto &rec = llc_stream[i];
         std::uint64_t block = traces::blockAddr(rec.address);
         std::uint64_t set = block & (config.sets - 1);
-        if (slot_of[set] < 0)
+        if (!sampler.isSampled(set))
             continue;
         ++res.sampled_accesses;
-        opt::OptGenSet &og =
-            slots[static_cast<std::size_t>(slot_of[set])];
 
         // An interval-closing event labels this block's previous
         // access, so consume it before updating last_index.
-        if (auto ev = og.access(block, rec.pc, rec.core, {}, false,
-                                false)) {
+        if (auto ev = sampler.access(set, block, rec.pc, rec.core, {},
+                                     false, false)) {
             tally(*ev);
         }
         // Aged-out / displaced entries were labelled cache-averse;
-        // their last_index entries are dead once tallied.
-        while (auto ev = og.popExpired()) {
+        // their last_index entries are dead once tallied. Every queue
+        // is drained after each access, so these all come from set.
+        while (auto ev = sampler.popExpired()) {
             tally(*ev);
             last_index.erase(ev->block);
         }

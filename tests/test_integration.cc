@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "cachesim/simulator.hh"
 #include "core/glider_policy.hh"
 #include "core/policy_factory.hh"
@@ -148,9 +150,12 @@ TEST(Integration, OnlineAccuracyProbesWork)
     // Drive a hierarchy directly so the policy stays reachable for
     // the accuracy probe after the run.
     sim::HierarchyConfig cfg = smallHierarchyOpts().hierarchy;
-    sim::Hierarchy hier(cfg, 1, core::makePolicy("Glider"));
-    auto &llc_policy =
-        static_cast<core::GliderPolicy &>(hier.llc().policy());
+    // Built directly, not through the factory: checked builds wrap
+    // factory policies in a CheckedPolicy, so a downcast of
+    // hier.llc().policy() would name the wrong dynamic type.
+    auto policy = std::make_unique<core::GliderPolicy>();
+    const core::GliderPolicy &llc_policy = *policy;
+    sim::Hierarchy hier(cfg, 1, std::move(policy));
     for (const auto &rec : trace)
         hier.access(0, rec.pc, rec.address, rec.is_write);
     EXPECT_GT(llc_policy.predictorAccuracy().events, 100u);

@@ -281,6 +281,50 @@ TEST(OptGenSampler, DrainInterleavesAcrossSets)
     EXPECT_EQ(pcs[1], pcs[3]);
 }
 
+TEST(OptGenSampler, DrainWrapsPastCursorAndSeesRefills)
+{
+    // 8 sets, 1 way, all sampled. Slots are hash-ranked by set index:
+    // slot 0..7 hold sets 0, 3, 2, 4, 7, 1, 5, 6. Each set tracks 2
+    // addresses, so 4 distinct blocks queue 2 capacity negatives.
+    OptGenSampler sampler(8, 1, 8);
+    PcHistory none;
+    auto fill = [&](std::uint64_t set, std::uint64_t tag) {
+        for (std::uint64_t b = 0; b < 4; ++b)
+            sampler.access(set, tag + b, tag + b, 0, none, false, false);
+    };
+    std::vector<std::uint64_t> pcs;
+    auto pop = [&] {
+        auto ev = sampler.popExpired();
+        pcs.push_back(ev ? ev->pc : 0);
+    };
+    // Draining set 4 (slot 3) leaves the cursor mid-ring at slot 4.
+    fill(4, 400);
+    pop();
+    pop();
+    pop();
+    // Queue sets on both sides of the cursor: sets 0 and 2 (slots 0
+    // and 2) sit before it, sets 7 and 5 (slots 4 and 6) after it.
+    fill(0, 100);
+    fill(2, 200);
+    fill(5, 500);
+    fill(7, 700);
+    pop();
+    pop();
+    pop();
+    // Refill set 2 part-way through the drain.
+    fill(2, 210);
+    while (auto ev = sampler.popExpired())
+        pcs.push_back(ev->pc);
+    pop();
+    // Recorded from the round-robin linear scan over every slot: set
+    // 4 then empty; slots 4 and 6, then wrap to slot 0; the refilled
+    // set 2 is served in turn, and drains last.
+    const std::vector<std::uint64_t> expected = {
+        401, 400, 0, 701, 501, 101, 211, 700,
+        500, 100, 210, 203, 202, 201, 200, 0};
+    EXPECT_EQ(pcs, expected);
+}
+
 TEST(OptGenSet, HistorySnapshotRoundTrips)
 {
     OptGenSet set(2, 16, 8);
