@@ -18,14 +18,16 @@
  *   serve.per_shard_floor_ratio = floor_ops_per_sec
  *                               / (served / busy_seconds)
  *
- * where busy_seconds is the thread-CPU time the shard workers spent
- * draining and serving batches (idle spinning excluded) — i.e. how
- * much slower the serving path (ring pop, tenant grouping, batched
- * predictMany, publish) is per shard than the no-queue floor. Using
- * busy time rather than end-to-end wall time makes the ratio
- * independent of how many cores the host can give the shard workers
- * and the load-generating clients; on a machine with enough cores
- * the two coincide. The committed baseline encodes an absolute
+ * where busy_seconds is the steady-clock time the shard workers
+ * spent from each batch's first pop to its last publish (idle
+ * spinning and parking excluded), and the floor is timed in
+ * thread-CPU time — i.e. how much slower the serving path (ring pop,
+ * tenant grouping, batched predictMany, publish) is per shard than
+ * the no-queue floor. Using busy time rather than end-to-end wall
+ * time keeps client-side waiting out of the ratio; preemption of a
+ * worker in mid-batch still counts, so on a host with fewer free
+ * cores than shards plus clients the ratio reads high. The committed
+ * baseline encodes an absolute
  * ceiling of 1.5x in its tolerance, so bench_diff fails CI if
  * queueing/batching overhead ever eats more than a third of the raw
  * prediction throughput.
@@ -138,7 +140,7 @@ runFloor(const serve::EngineConfig &config,
             reqs[i].response = &slots[i];
     }
     std::uint64_t total = 0;
-    // Thread CPU time, matching the engine's busy-time accounting.
+    // Thread CPU time: the floor is one thread with no waiting.
     std::uint64_t t0 = serve::TenantServer::cpuNs();
     for (const auto &[tenant, reqs] : runs) {
         std::vector<const serve::AdviceRequest *> run;

@@ -6,14 +6,29 @@
 
 #include "advice_engine.hh"
 
-#include <chrono>
-#include <thread>
-
 #include "common/env_registry.hh"
 #include "common/logging.hh"
 
 namespace glider {
 namespace serve {
+
+namespace {
+
+/** Longest an idle worker spins on its ring before it parks. */
+constexpr std::uint64_t kSpinNs = 3'000;
+
+/** Spin-wait hint: frees the core's pipeline for a sibling thread. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+} // namespace
 
 EngineConfig
 EngineConfig::fromEnv()
@@ -64,45 +79,79 @@ AdviceEngine::submit(const AdviceRequest &request)
         rejected_.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
+    // Wake a parked worker. It announces the park before re-checking
+    // accepted (see awaitWork), so either it sees this request or
+    // this load sees its announcement.
+    if (shard.parked.load(std::memory_order_seq_cst) != 0
+        && shard.parked.exchange(0, std::memory_order_seq_cst) != 0)
+        shard.parked.notify_one();
     return true;
 }
 
 void
 AdviceEngine::shardLoop(Shard &shard)
 {
-    unsigned idle = 0;
+    // Share of recent idle episodes that ended within kSpinNs, as a
+    // fixed-point EWMA (256 = all of them, weight 1/8 per episode):
+    // the worker spins only while most of them did.
+    unsigned quick = 256;
     for (;;) {
-        std::size_t n = 0;
-        if (shard.queue.tryPop(shard.drain[0]))
-            n = 1;
-        if (n == 0) {
-            if (stop_.load(std::memory_order_seq_cst)
-                && shard.served.load(std::memory_order_seq_cst)
-                    >= shard.accepted.load(std::memory_order_seq_cst))
+        std::uint64_t idle0 = 0; // 0: no idle episode before this batch
+        if (!shard.queue.tryPop(shard.drain[0])) {
+            idle0 = TenantServer::nowNs();
+            if (!awaitWork(shard, quick >= 128))
                 return;
-            // Idle backoff: spin briefly for latency, then sleep so
-            // an idle engine does not burn the shard's core.
-            if (++idle < 64)
-                std::this_thread::yield();
-            else
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(50));
-            continue;
         }
-        idle = 0;
-        // Busy-time accounting starts once the first pop succeeds:
-        // draining the rest of the batch, grouping and serving are
-        // all serving-path work; idle spins above are not. Thread
-        // CPU time, not wall time — preemption by client threads on
-        // a core-starved host must not count against the shard.
-        std::uint64_t t0 = TenantServer::cpuNs();
+        // Busy time runs from the first pop to the last publish, on
+        // the steady clock: a vDSO read, where the thread-CPU clock
+        // would cost a syscall on the path of every request.
+        const std::uint64_t t0 = TenantServer::nowNs();
+        std::size_t n = 1;
         while (n < config_.max_batch
                && shard.queue.tryPop(shard.drain[n]))
             ++n;
         shard.batches.fetch_add(1, std::memory_order_relaxed);
         processBatch(shard, n);
-        shard.busy_ns.fetch_add(TenantServer::cpuNs() - t0,
+        shard.busy_ns.fetch_add(TenantServer::nowNs() - t0,
                                 std::memory_order_relaxed);
+        if (idle0 != 0)
+            quick = quick - quick / 8
+                + (t0 - idle0 <= kSpinNs ? 32 : 0);
+    }
+}
+
+bool
+AdviceEngine::awaitWork(Shard &shard, bool spin)
+{
+    if (spin) {
+        const std::uint64_t until = TenantServer::nowNs() + kSpinNs;
+        do {
+            cpuRelax();
+            if (shard.queue.tryPop(shard.drain[0]))
+                return true;
+        } while (TenantServer::nowNs() < until);
+    }
+    for (;;) {
+        // Announce the park, then re-check for work. submit() bumps
+        // accepted before its push and reads parked after it, all
+        // seq_cst: either this re-check counts the request, or
+        // submit() sees parked == 1 and wakes the worker. stop()
+        // raises stop_ before it clears parked, likewise.
+        shard.parked.store(1, std::memory_order_seq_cst);
+        const bool stopping = stop_.load(std::memory_order_seq_cst);
+        const bool pending =
+            shard.served.load(std::memory_order_seq_cst)
+            < shard.accepted.load(std::memory_order_seq_cst);
+        if (!pending) {
+            if (stopping)
+                return false;
+            shard.parked.wait(1, std::memory_order_seq_cst);
+        }
+        shard.parked.store(0, std::memory_order_relaxed);
+        if (shard.queue.tryPop(shard.drain[0]))
+            return true;
+        // Accepted but not yet pushed (or about to be refused).
+        cpuRelax();
     }
 }
 
@@ -162,6 +211,10 @@ void
 AdviceEngine::stop()
 {
     stop_.store(true, std::memory_order_seq_cst);
+    for (auto &shard : shards_) {
+        shard->parked.store(0, std::memory_order_seq_cst);
+        shard->parked.notify_one();
+    }
     LockGuard lock(stop_mutex_);
     if (joined_)
         return;

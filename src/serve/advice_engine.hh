@@ -14,6 +14,10 @@
  *
  * Backpressure: submit() returns false when the target shard's ring
  * is full (or the engine is stopping); nothing is queued then.
+ * Idle workers park on a per-shard futex word that submit() clears
+ * and notifies; they spin first (for at most a few microseconds) only
+ * while recent requests have been arriving closer together than that.
+ *
  * Shutdown is graceful and cooperative: stop() flips the submit gate
  * and each worker exits only once every accepted request of its
  * shard has been answered, so in-flight batches always complete.
@@ -119,12 +123,12 @@ class AdviceEngine
         std::uint64_t rejected = 0;  //!< backpressure refusals
         std::uint64_t batches = 0;   //!< drain cycles with work
         std::uint64_t quarantined_tenants = 0;
-        //! Thread-CPU nanoseconds the workers spent draining +
-        //! serving (excludes idle spinning and preemption).
-        //! served / (busy_ns summed over shards) is the serving
-        //! path's per-shard throughput, independent of how many
-        //! cores the host can actually run the shards and the
-        //! load-generating clients on.
+        //! Steady-clock nanoseconds from each batch's first pop to
+        //! its last publish, summed (idle spinning and parking
+        //! excluded). served / (busy_ns summed over shards) is the
+        //! serving path's per-shard throughput; preemption inside a
+        //! batch counts, so it reads low on a host with fewer free
+        //! cores than shards plus clients.
         std::uint64_t busy_ns = 0;
     };
 
@@ -191,8 +195,8 @@ class AdviceEngine
         TenantServer server;
         // accepted/served carry the shutdown drain protocol
         // (stop-flag + served >= accepted must totally order against
-        // submit's accept-then-check); batches/busy_ns are pure
-        // telemetry.
+        // submit's accept-then-check) and the park handshake (see
+        // awaitWork); batches/busy_ns are pure telemetry.
         std::atomic<std::uint64_t> accepted{0}; // glider-mo: gate-seqcst
         std::atomic<std::uint64_t> served{0};   // glider-mo: gate-seqcst
         std::atomic<std::uint64_t> batches{0};  // glider-mo: counter-relaxed
@@ -207,9 +211,22 @@ class AdviceEngine
         std::vector<std::uint32_t> order; //!< first-seen bucket order
         std::vector<RunBucket> buckets;
         std::uint64_t epoch = 0;
+        // 1 while the worker is parked (or about to park) in
+        // parked.wait(1). Last member and line-aligned, so it owns
+        // its cache line: submit() reads it on every push, and
+        // sharing a line with the counters above would bounce it on
+        // every request.
+        alignas(64) std::atomic<std::uint32_t> parked{0}; // glider-mo: gate-seqcst
     };
 
     void shardLoop(Shard &shard);
+    /**
+     * Idle wait of an empty shard: spin up to kSpinNs if @p spin,
+     * then park until submit() or stop() wakes it. @return true with
+     * a request popped into drain[0]; false once the engine stops
+     * with every accepted request served (the worker exits).
+     */
+    bool awaitWork(Shard &shard, bool spin);
     void processBatch(Shard &shard, std::size_t n);
 
     EngineConfig config_;

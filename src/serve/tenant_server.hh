@@ -235,7 +235,7 @@ class TenantServer
 
     const core::GliderConfig &config() const { return config_; }
 
-    /** Steady-clock nanoseconds (response timestamps). */
+    /** Steady-clock nanoseconds (response stamps, busy time). */
     static std::uint64_t
     nowNs()
     {
@@ -246,11 +246,11 @@ class TenantServer
     }
 
     /**
-     * Per-thread CPU nanoseconds (busy-time accounting). Unlike the
-     * wall clock this excludes time the thread spent preempted, so
-     * serving-path throughput computed from it is stable even when
-     * the host has fewer cores than threads. Falls back to the wall
-     * clock where no thread CPU clock exists.
+     * Per-thread CPU nanoseconds. Unlike the wall clock this excludes
+     * time the thread spent preempted; serve_loadgen times its
+     * standalone floor with it. Each read is a syscall (hundreds of
+     * ns), so the engine's per-batch busy time uses nowNs() instead.
+     * Falls back to the wall clock where no thread CPU clock exists.
      */
     static std::uint64_t
     cpuNs()

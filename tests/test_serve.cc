@@ -2,9 +2,10 @@
  * @file
  * Serving-layer stress suite: MPSC queue linearizability, shard
  * determinism against a single-threaded reference, backpressure,
- * graceful shutdown with in-flight batches, snapshot/restore
- * round-trips, and fault-plan soak (throw/flaky/hang inside a shard
- * worker). Sized to run under TSan in CI.
+ * graceful shutdown with in-flight batches, idle-shard parking and
+ * wakeups, snapshot/restore round-trips, and fault-plan soak
+ * (throw/flaky/hang inside a shard worker). Sized to run under TSan
+ * in CI.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <ctime>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -30,17 +35,26 @@ using serve::MpscRingQueue;
 using serve::RequestKind;
 using serve::ResponseStatus;
 
+/** Whether @p done reaches @p expect (acquire) within @p limit. */
+bool
+reachesWithin(const std::atomic<std::uint64_t> &done, std::uint64_t expect,
+              std::chrono::milliseconds limit)
+{
+    auto deadline = std::chrono::steady_clock::now() + limit;
+    while (done.load(std::memory_order_acquire) < expect) {
+        if (std::chrono::steady_clock::now() >= deadline)
+            return false;
+        std::this_thread::yield();
+    }
+    return true;
+}
+
 /** Spin until @p done reaches @p expect (acquire), or fail at 30s. */
 void
 awaitDone(const std::atomic<std::uint64_t> &done, std::uint64_t expect)
 {
-    auto deadline = std::chrono::steady_clock::now()
-        + std::chrono::seconds(30);
-    while (done.load(std::memory_order_acquire) < expect) {
-        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-            << "engine did not publish " << expect << " responses";
-        std::this_thread::yield();
-    }
+    ASSERT_TRUE(reachesWithin(done, expect, std::chrono::seconds(30)))
+        << "engine did not publish " << expect << " responses";
 }
 
 /** One scripted tenant operation. */
@@ -315,6 +329,130 @@ TEST(AdviceEngine, GracefulShutdownServesInFlightBatches)
     late.response = &responses[0];
     late.done = &done;
     EXPECT_FALSE(engine.submit(late));
+}
+
+TEST(AdviceEngine, ParkedShardsWakeForEverySubmit)
+{
+    // Producers submit one request at a time and pause between
+    // requests, so the shards keep going idle and parking. A lost
+    // wakeup leaves a request unserved until the next submission to
+    // its shard, or forever: each producer owns a shard, so no other
+    // submission comes to wake it.
+    constexpr std::size_t kProducers = 3;
+    constexpr std::size_t kOps = 2000;
+    EngineConfig config;
+    config.shards = kProducers;
+    AdviceEngine engine(config);
+
+    std::vector<std::uint64_t> tenant(kProducers);
+    std::vector<std::vector<Op>> ops(kProducers);
+    std::vector<std::vector<AdviceResponse>> responses(kProducers);
+    std::vector<std::atomic<std::uint64_t>> done(kProducers);
+    std::atomic<std::uint64_t> late{0};
+    for (std::size_t p = 0; p < kProducers; ++p) {
+        tenant[p] = 100;
+        while (engine.shardOf(tenant[p]) != p)
+            ++tenant[p];
+        ops[p] = makeOps(0x9A4C + p, kOps);
+        responses[p].resize(kOps);
+    }
+    std::vector<std::thread> producers;
+    for (std::size_t p = 0; p < kProducers; ++p) {
+        producers.emplace_back([&, p] {
+            Rng rng(0x51EE + p);
+            for (std::size_t i = 0; i < kOps; ++i) {
+                AdviceRequest req;
+                req.tenant = tenant[p];
+                req.pc = ops[p][i].pc;
+                req.kind = ops[p][i].train ? RequestKind::Train
+                                           : RequestKind::Advise;
+                req.opt_hit = ops[p][i].opt_hit;
+                req.response = &responses[p][i];
+                req.done = &done[p];
+                while (!engine.submit(req))
+                    std::this_thread::yield();
+                if (!reachesWithin(done[p], i + 1,
+                                   std::chrono::seconds(2))) {
+                    late.fetch_add(1);
+                    return;
+                }
+                if (rng.chance(0.5)) {
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(rng.below(201)));
+                    continue;
+                }
+                // Or resubmit within a few microseconds, so some
+                // submissions race the worker's move from polling to
+                // parking.
+                auto until = std::chrono::steady_clock::now()
+                    + std::chrono::nanoseconds(rng.below(4001));
+                while (std::chrono::steady_clock::now() < until) {
+                }
+            }
+        });
+    }
+    for (auto &t : producers)
+        t.join();
+    engine.stop();
+
+    ASSERT_EQ(late.load(), 0u) << "a request waited over 2 s";
+    for (std::size_t p = 0; p < kProducers; ++p)
+        expectMatchesReference(config.predictor, ops[p], responses[p]);
+}
+
+TEST(AdviceEngine, StopWakesParkedShards)
+{
+    EngineConfig config;
+    config.shards = 4;
+    AdviceEngine engine(config);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    // One request for one shard; the others stay parked with nothing
+    // to do, so only stop() can wake them.
+    AdviceResponse response;
+    response.status = ResponseStatus::Quarantined; // until served
+    std::atomic<std::uint64_t> done{0};
+    AdviceRequest req;
+    req.tenant = 9;
+    req.pc = 0x4000;
+    req.response = &response;
+    req.done = &done;
+    ASSERT_TRUE(engine.submit(req));
+    auto stopped = std::async(std::launch::async, [&] { engine.stop(); });
+    if (stopped.wait_for(std::chrono::seconds(2))
+        != std::future_status::ready) {
+        ADD_FAILURE() << "stop() left a parked shard asleep";
+        std::fflush(stdout);
+        std::abort(); // its worker never exits: do not hang the suite
+    }
+    EXPECT_EQ(done.load(std::memory_order_acquire), 1u);
+    EXPECT_EQ(response.status, ResponseStatus::Ok);
+    EXPECT_EQ(engine.stats().served, 1u);
+}
+
+TEST(AdviceEngine, IdleEngineParks)
+{
+    EngineConfig config;
+    config.shards = 2;
+    AdviceEngine engine(config);
+    AdviceResponse response;
+    std::atomic<std::uint64_t> done{0};
+    AdviceRequest req;
+    req.tenant = 3;
+    req.pc = 0x4000;
+    req.response = &response;
+    req.done = &done;
+    ASSERT_TRUE(engine.submit(req));
+    awaitDone(done, 1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    // Idle shards must sleep, not poll: the whole process (two
+    // workers and this sleeping thread) may use 1% of one core.
+    const std::clock_t c0 = std::clock();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const double cpu_ms = static_cast<double>(std::clock() - c0)
+        * 1000.0 / CLOCKS_PER_SEC;
+    EXPECT_LT(cpu_ms, 2.0) << "idle shards burned CPU";
 }
 
 TEST(AdviceEngine, BackpressureWhenQueueFull)
