@@ -67,7 +67,7 @@ class LegacyCache
         acc.is_write = is_write;
 
         for (std::uint32_t way = 0; way < config_.ways; ++way) {
-            if (base[way].valid && base[way].block_addr == block_addr) {
+            if (base[way].block_addr == block_addr) {
                 policy_->onHit(acc, way);
                 return true;
             }
@@ -79,9 +79,8 @@ class LegacyCache
             acc, sim::SetView{view.data(), config_.ways});
         if (victim >= config_.ways)
             return false;
-        if (base[victim].valid)
+        if (base[victim].valid())
             policy_->onEvict(acc, victim, base[victim]);
-        base[victim].valid = true;
         base[victim].block_addr = block_addr;
         policy_->onInsert(acc, victim);
         return false;

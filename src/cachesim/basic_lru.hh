@@ -8,6 +8,9 @@
 #ifndef GLIDER_CACHESIM_BASIC_LRU_HH
 #define GLIDER_CACHESIM_BASIC_LRU_HH
 
+#include <bit>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "replacement.hh"
@@ -15,33 +18,40 @@
 namespace glider {
 namespace sim {
 
-/** True-LRU: per-line 64-bit timestamps, oldest way evicted. */
+/**
+ * True-LRU with one 64-bit recency word per set: the set's way ids as
+ * 4-bit nibbles, most recent in the low nibble, so at most 16 ways.
+ * A fresh set lists ways ways-1 ... 0, so never-filled ways are
+ * evicted in way order, exactly as the "first invalid way, else the
+ * oldest" rule picks them; the SetView is not read.
+ */
 class BasicLruPolicy : public ReplacementPolicy
 {
   public:
+    static constexpr std::uint32_t kMaxWays = 16;
+
     std::string name() const override { return "LRU"; }
 
     void
     reset(const CacheGeometry &geom) override
     {
-        geom_ = geom;
-        stamps_.assign(geom.sets * geom.ways, 0);
-        clock_ = 0;
+        if (geom.ways < 1 || geom.ways > kMaxWays) {
+            throw std::invalid_argument(
+                "BasicLruPolicy: ways must be in [1, 16], got "
+                + std::to_string(geom.ways));
+        }
+        std::uint64_t fresh = 0;
+        for (std::uint32_t w = 0; w < geom.ways; ++w)
+            fresh = (fresh << 4) | w;
+        recency_.assign(geom.sets, fresh);
+        lru_shift_ = 4 * (geom.ways - 1);
     }
 
     std::uint32_t
-    victimWay(const ReplacementAccess &access, SetView lines)
-        noexcept override
+    victimWay(const ReplacementAccess &access, SetView) noexcept override
     {
-        const std::uint64_t *row = &stamps_[access.set * geom_.ways];
-        std::uint32_t victim = 0;
-        for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-            if (!lines[w].valid)
-                return w;
-            if (row[w] < row[victim])
-                victim = w;
-        }
-        return victim;
+        return static_cast<std::uint32_t>(
+            (recency_[access.set] >> lru_shift_) & 0xF);
     }
 
     void
@@ -65,15 +75,28 @@ class BasicLruPolicy : public ReplacementPolicy
     }
 
   private:
+    static constexpr std::uint64_t kNibbleLow3 = 0x7777777777777777ull;
+    static constexpr std::uint64_t kNibbleTop = 0x8888888888888888ull;
+
+    /** Move @p way to the most-recent end of @p set's list. */
     void
     touch(std::uint64_t set, std::uint32_t way) noexcept
     {
-        stamps_[set * geom_.ways + way] = ++clock_;
+        std::uint64_t word = recency_[set];
+        // XOR zeroes the nibble holding `way`; the add-and-or test
+        // then sets bit 3 of exactly the zero nibbles (no borrow
+        // crosses a nibble), so the lowest flag is `way`'s position.
+        std::uint64_t x = word ^ (way * 0x1111111111111111ull);
+        std::uint64_t zero =
+            ~(((x & kNibbleLow3) + kNibbleLow3) | x) & kNibbleTop;
+        unsigned shift = static_cast<unsigned>(std::countr_zero(zero)) & ~3u;
+        std::uint64_t newer = (std::uint64_t{1} << shift) - 1;
+        std::uint64_t through = (newer << 4) | 0xF;
+        recency_[set] = (word & ~through) | ((word & newer) << 4) | way;
     }
 
-    CacheGeometry geom_;
-    std::vector<std::uint64_t> stamps_;
-    std::uint64_t clock_ = 0;
+    std::vector<std::uint64_t> recency_; //!< one word per set
+    unsigned lru_shift_ = 0;             //!< 4 * (ways - 1)
 };
 
 } // namespace sim

@@ -1,5 +1,7 @@
 #include "cache.hh"
 
+#include <stdexcept>
+
 #include "common/logging.hh"
 
 namespace glider {
@@ -12,6 +14,12 @@ Cache::Cache(const CacheConfig &config,
       occ_at_miss_(0.0, config.ways + 1.0, config.ways + 1)
 {
     GLIDER_ASSERT(policy_ != nullptr);
+    if (num_sets_ == 0) {
+        throw std::invalid_argument(
+            "Cache " + config.name + ": " + std::to_string(config.size_bytes)
+            + " bytes is smaller than one set of "
+            + std::to_string(config.ways) + " ways");
+    }
     GLIDER_ASSERT((num_sets_ & (num_sets_ - 1)) == 0);
     reset();
 }
@@ -44,7 +52,7 @@ Cache::access(std::uint8_t core, std::uint64_t pc,
     acc.is_write = is_write;
 
     for (std::uint32_t way = 0; way < config_.ways; ++way) {
-        if (base[way].valid && base[way].block_addr == block_addr) {
+        if (base[way].block_addr == block_addr) {
             ++stats_.hits;
             policy_->onHit(acc, way);
             return true;
@@ -56,7 +64,7 @@ Cache::access(std::uint8_t core, std::uint64_t pc,
     {
         std::uint32_t occupied = 0;
         for (std::uint32_t way = 0; way < config_.ways; ++way)
-            occupied += base[way].valid ? 1 : 0;
+            occupied += base[way].valid() ? 1 : 0;
         occ_at_miss_.record(static_cast<double>(occupied));
     }
 #endif
@@ -67,11 +75,10 @@ Cache::access(std::uint8_t core, std::uint64_t pc,
         ++stats_.bypasses;
         return false;
     }
-    if (base[victim].valid) {
+    if (base[victim].valid()) {
         ++stats_.evictions;
         policy_->onEvict(acc, victim, base[victim]);
     }
-    base[victim].valid = true;
     base[victim].block_addr = block_addr;
     policy_->onInsert(acc, victim);
     return false;
@@ -105,7 +112,7 @@ Cache::probe(std::uint64_t block_addr) const
     std::uint64_t set = setIndex(block_addr);
     const LineView *base = &lines_[set * config_.ways];
     for (std::uint32_t way = 0; way < config_.ways; ++way) {
-        if (base[way].valid && base[way].block_addr == block_addr)
+        if (base[way].block_addr == block_addr)
             return true;
     }
     return false;

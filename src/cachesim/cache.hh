@@ -49,6 +49,7 @@ class Cache
      * @param config Geometry and latency.
      * @param policy Replacement policy; the cache takes ownership.
      * @param cores Number of cores sharing this cache.
+     * @throws std::invalid_argument if @p config holds no whole set.
      */
     Cache(const CacheConfig &config,
           std::unique_ptr<ReplacementPolicy> policy, unsigned cores = 1);
@@ -57,6 +58,8 @@ class Cache
      * Perform one access: on a hit the policy's onHit fires; on a
      * miss the policy chooses a victim (or bypasses) and the line is
      * filled.
+     * @param block_addr Block address; never LineView::kInvalid, the
+     *        invalid-way sentinel (traces::blockAddr cannot produce it).
      * @return true on hit.
      */
     bool access(std::uint8_t core, std::uint64_t pc,

@@ -9,6 +9,7 @@
 #define GLIDER_CACHESIM_CACHE_CONFIG_HH
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "common/logging.hh"
@@ -25,10 +26,18 @@ struct CacheConfig
     std::uint32_t ways = 8;
     std::uint32_t latency = 4; //!< access latency in core cycles
 
-    /** Number of sets implied by size/ways/64B blocks. */
+    /**
+     * Number of sets implied by size/ways/64B blocks.
+     * @throws std::invalid_argument if ways is 0.
+     */
     std::uint64_t
     sets() const
     {
+        if (ways < 1)
+            // glider-lint: allow(hotpath-transitive) shape check, run
+            // when a cache or sampler is built, before any access
+            throw std::invalid_argument("CacheConfig " + name
+                                        + ": ways must be >= 1");
         std::uint64_t block = 1ull << traces::kBlockBits;
         GLIDER_ASSERT(size_bytes % (block * ways) == 0);
         return size_bytes / (block * ways);

@@ -29,11 +29,19 @@ struct CacheGeometry
     std::uint32_t cores = 1; //!< cores sharing this cache
 };
 
-/** Tag-array view of one line, passed to victim selection. */
+/**
+ * Tag-array view of one line, passed to victim selection: one word,
+ * the block address, with all-ones marking an invalid (never filled)
+ * way. No real block is all-ones (traces::blockAddr shifts the byte
+ * address right), so the sentinel never collides with a tag.
+ */
 struct LineView
 {
-    bool valid = false;
-    std::uint64_t block_addr = 0;
+    static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
+
+    std::uint64_t block_addr = kInvalid;
+
+    bool valid() const { return block_addr != kInvalid; }
 };
 
 /**

@@ -131,7 +131,7 @@ BeladyPolicy::victimWay(const sim::ReplacementAccess &access,
     std::size_t victim_next = incoming_next;
     std::size_t *row = &line_next_use_[access.set * geom_.ways];
     for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-        if (!lines[w].valid)
+        if (!lines[w].valid())
             return w;
         if (row[w] > victim_next) {
             victim = w;

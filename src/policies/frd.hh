@@ -50,7 +50,7 @@ class FrdPolicy : public sim::ReplacementPolicy
               sim::SetView lines) noexcept override
     {
         for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-            if (!lines[w].valid)
+            if (!lines[w].valid())
                 return w;
         }
         // Belady over predictions: furthest predicted next use goes

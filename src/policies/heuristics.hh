@@ -123,7 +123,7 @@ class DecayCountPolicy : public sim::ReplacementPolicy
     {
         decaySet(access.set);
         for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-            if (!lines[w].valid)
+            if (!lines[w].valid())
                 return w;
         }
         std::size_t base = access.set * geom_.ways;

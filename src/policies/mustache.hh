@@ -47,7 +47,7 @@ class MustachePolicy : public sim::ReplacementPolicy
               sim::SetView lines) noexcept override
     {
         for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-            if (!lines[w].valid)
+            if (!lines[w].valid())
                 return w;
         }
         // Roll the successor chain K steps ahead of the missing

@@ -61,7 +61,7 @@ OptGuidedPolicy::victimWay(const sim::ReplacementAccess &access,
 {
     const LineState *row = &lines_[access.set * geom_.ways];
     for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-        if (!lines[w].valid)
+        if (!lines[w].valid())
             return w;
     }
     // Cache-averse lines go first...

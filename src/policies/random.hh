@@ -33,7 +33,7 @@ class RandomPolicy : public sim::ReplacementPolicy
         noexcept override
     {
         for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-            if (!lines[w].valid)
+            if (!lines[w].valid())
                 return w;
         }
         return static_cast<std::uint32_t>(rng_.below(geom_.ways));

@@ -37,7 +37,7 @@ class RrpvBase : public sim::ReplacementPolicy
               sim::SetView lines) noexcept override
     {
         for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-            if (!lines[w].valid)
+            if (!lines[w].valid())
                 return w;
         }
         std::uint8_t *row = rowFor(access.set);

@@ -17,11 +17,15 @@ namespace traces {
 constexpr unsigned kBlockBits = 6;
 
 /** Byte address → block (line) address. */
-inline std::uint64_t
+constexpr std::uint64_t
 blockAddr(std::uint64_t byte_addr)
 {
     return byte_addr >> kBlockBits;
 }
+
+// The cache's tag array marks invalid ways with an all-ones block
+// address (sim::LineView); the shift keeps every real block below it.
+static_assert(blockAddr(~std::uint64_t{0}) != ~std::uint64_t{0});
 
 /**
  * One memory access. `pc` is a stable identifier for the static

@@ -90,11 +90,11 @@ CheckedPolicy::victimWay(const sim::ReplacementAccess &access,
     // shadow, way for way; any drift means tag state was corrupted.
     ShadowLine *r = row(access.set);
     for (std::uint32_t w = 0; w < ways(); ++w) {
-        require(lines[w].valid == r[w].valid,
+        require(lines[w].valid() == r[w].valid,
                 describe("victimWay", access,
                          "tag-array valid bit disagrees with the "
                          "event-derived shadow state"));
-        require(!lines[w].valid || lines[w].block_addr == r[w].block,
+        require(!lines[w].valid() || lines[w].block_addr == r[w].block,
                 describe("victimWay", access,
                          "tag-array block disagrees with the "
                          "event-derived shadow state"));
@@ -192,7 +192,7 @@ CheckedPolicy::onEvict(const sim::ReplacementAccess &access,
                      "duplicate eviction in one miss sequence"));
 
     const ShadowLine &line = row(access.set)[way];
-    require(victim.valid && victim.block_addr == line.block,
+    require(victim.valid() && victim.block_addr == line.block,
             describe("onEvict", access,
                      "evicted LineView disagrees with the "
                      "event-derived shadow state"));

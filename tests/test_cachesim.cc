@@ -48,6 +48,67 @@ TEST(CacheConfig, SetsFromGeometry)
     EXPECT_EQ(c.sets(), 64u);
 }
 
+TEST(CacheConfig, RejectsZeroWays)
+{
+    CacheConfig c;
+    c.ways = 0;
+    EXPECT_THROW(c.sets(), std::invalid_argument);
+    EXPECT_THROW(Cache(c, std::make_unique<BasicLruPolicy>()),
+                 std::invalid_argument);
+}
+
+TEST(Cache, RejectsSizeBelowOneSet)
+{
+    // A zero size divides evenly into zero sets, which passes the
+    // power-of-two check; the first access would index an empty
+    // tag array.
+    EXPECT_EQ(tinyConfig(0, 2).sets(), 0u);
+    EXPECT_THROW(Cache(tinyConfig(0, 2),
+                       std::make_unique<BasicLruPolicy>()),
+                 std::invalid_argument);
+}
+
+TEST(LineView, DefaultIsInvalidAndFilledIsValid)
+{
+    EXPECT_FALSE(LineView{}.valid());
+    EXPECT_TRUE(LineView{0}.valid()); // block 0 is a real block
+    EXPECT_TRUE(LineView{traces::blockAddr(~std::uint64_t{0})}.valid());
+}
+
+TEST(BasicLru, ResetRejectsWaysOutsideOneToSixteen)
+{
+    BasicLruPolicy lru;
+    EXPECT_THROW(lru.reset(CacheGeometry{8, 0, 1}),
+                 std::invalid_argument);
+    EXPECT_THROW(lru.reset(CacheGeometry{8, 17, 1}),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(lru.reset(CacheGeometry{8, 1, 1}));
+    EXPECT_NO_THROW(lru.reset(CacheGeometry{8, 16, 1}));
+}
+
+TEST(BasicLru, FillsWaysInOrderThenEvictsInTouchOrder)
+{
+    BasicLruPolicy lru;
+    lru.reset(CacheGeometry{1, 16, 1});
+    ReplacementAccess acc;
+    // A fresh set fills way 0 first, then 1, ..., as the "first
+    // invalid way" rule does.
+    for (std::uint32_t w = 0; w < 16; ++w) {
+        ASSERT_EQ(lru.victimWay(acc, SetView{}), w);
+        lru.onInsert(acc, w);
+    }
+    // Touch every way in a scrambled order; victims then follow it.
+    std::vector<std::uint32_t> order;
+    for (std::uint32_t i = 0; i < 16; ++i)
+        order.push_back((i * 7 + 3) % 16);
+    for (std::uint32_t w : order)
+        lru.onHit(acc, w);
+    for (std::uint32_t w : order) {
+        ASSERT_EQ(lru.victimWay(acc, SetView{}), w);
+        lru.onInsert(acc, w);
+    }
+}
+
 TEST(Cache, HitAfterFill)
 {
     Cache cache(tinyConfig(), std::make_unique<BasicLruPolicy>());

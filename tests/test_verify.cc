@@ -26,11 +26,11 @@ namespace verify {
 namespace {
 
 sim::CacheConfig
-tinyCache()
+tinyCache(std::uint32_t ways = 4)
 {
     sim::CacheConfig c;
-    c.size_bytes = 8 * 4 * 64; // 8 sets x 4 ways
-    c.ways = 4;
+    c.size_bytes = 8 * ways * 64; // 8 sets
+    c.ways = ways;
     return c;
 }
 
@@ -106,15 +106,23 @@ TEST(CheckedPolicy, LruReferenceCatchesNonLruVictims)
 
 TEST(CheckedPolicy, TrueLruPassesReferenceModel)
 {
-    CheckedPolicy::Options opts;
-    opts.verify_lru = true;
-    sim::Cache cache(tinyCache(),
-                     checkedPolicy(std::make_unique<policies::LruPolicy>(),
-                                   opts));
-    for (const auto &rec : mixedTrace(0xBEEF))
-        EXPECT_NO_THROW(cache.access(rec.core, rec.pc,
-                                     traces::blockAddr(rec.address),
-                                     rec.is_write));
+    // 1 and 3 ways are not powers of two, which the fuzzer never
+    // draws; 16 ways puts a way in the top nibble of LRU's recency
+    // word.
+    for (std::uint32_t ways : {1u, 3u, 4u, 8u, 16u}) {
+        SCOPED_TRACE(ways);
+        CheckedPolicy::Options opts;
+        opts.verify_lru = true;
+        sim::Cache cache(
+            tinyCache(ways),
+            checkedPolicy(std::make_unique<policies::LruPolicy>(), opts));
+        for (const auto &rec : mixedTrace(0xBEEF))
+            ASSERT_NO_THROW(cache.access(rec.core, rec.pc,
+                                         traces::blockAddr(rec.address),
+                                         rec.is_write));
+        EXPECT_GT(cache.stats().hits, 0u);
+        EXPECT_GT(cache.stats().evictions, 0u);
+    }
 }
 
 /** Direct protocol-order drives against a standalone checker. */
@@ -176,7 +184,7 @@ TEST_F(CheckedPolicyProtocol, EvictOfInvalidVictimThrows)
     // line and no onEvict may be reported for it.
     auto way = checker_->victimWay(access(1, 100), view());
     EXPECT_THROW(checker_->onEvict(access(1, 100), way,
-                                   sim::LineView{true, 50}),
+                                   sim::LineView{50}),
                  InvariantViolation);
 }
 
@@ -186,7 +194,7 @@ TEST_F(CheckedPolicyProtocol, TagArrayMismatchThrows)
     // in set 1, then present a tag array that disagrees.
     auto way = checker_->victimWay(access(1, 100), view());
     checker_->onInsert(access(1, 100), way);
-    lines_[way] = sim::LineView{true, 999}; // cache claims 999
+    lines_[way] = sim::LineView{999}; // cache claims 999
     EXPECT_THROW(checker_->victimWay(access(1, 200), view()),
                  InvariantViolation);
 }
@@ -198,7 +206,7 @@ TEST_F(CheckedPolicyProtocol, WellFormedMissSequencePasses)
         auto way = checker_->victimWay(access(2, b), view());
         ASSERT_LT(way, 4u);
         EXPECT_NO_THROW(checker_->onInsert(access(2, b), way));
-        lines_[way] = sim::LineView{true, b};
+        lines_[way] = sim::LineView{b};
         if (b == 2)
             way_of_two = way;
     }
