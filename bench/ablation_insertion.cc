@@ -4,12 +4,12 @@
  * paper maps the ISVM decision sum to RRPV 0 (confident friendly,
  * sum >= 60), RRPV 2 (low-confidence friendly), and RRPV 7 (averse).
  * This bench compares the confidence threshold of 60 against
- * degenerate settings: 0 (binary friendly/averse at RRPV 0/7) and
- * a very large threshold (everything friendly lands at RRPV 2).
+ * degenerate settings, one Glider{confidence=C} sweep cell each:
+ * 0 (binary friendly/averse at RRPV 0/7) and a very large threshold
+ * (everything friendly lands at RRPV 2).
  */
 
 #include "bench_common.hh"
-#include "core/glider_policy.hh"
 
 using namespace glider;
 
@@ -23,27 +23,34 @@ main()
 
     const auto subset = std::vector<std::string>{"omnetpp", "mcf",
                                                  "libquantum", "pr"};
+    const int thresholds[] = {60, 0, 1 << 20};
+    std::vector<std::string> specs;
+    for (int t : thresholds)
+        specs.push_back(core::canonicalPolicySpec(
+            "Glider{confidence=" + std::to_string(t) + "}"));
+    const auto outcome =
+        bench::runSpecSweep("ablation_insertion", subset, specs);
+
     std::printf("%-12s %10s %10s %10s  (LLC miss rate)\n", "Program",
                 "thresh=60", "binary(0)", "all-low");
     auto report = bench::makeReport("ablation_insertion");
     for (const auto &name : subset) {
-        const auto &trace = bench::buildTrace(name);
         std::printf("%-12s", name.c_str());
-        for (int thresh : {60, 0, 1 << 20}) {
-            core::GliderConfig cfg;
-            cfg.confidence_threshold = thresh;
-            sim::SimOptions opts;
-            auto res = sim::runSingleCore(
-                trace, std::make_unique<core::GliderPolicy>(cfg), opts);
-            std::printf(" %10.4f", res.llcMissRate());
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            const auto &cell = outcome.at(name + "/" + specs[i]);
+            if (!cell.ok()) {
+                std::printf(" %10s", "n/a");
+                continue;
+            }
+            std::printf(" %10.4f", cell.row.llcMissRate());
             report.metric("miss_rate." + name + ".thresh"
-                              + std::to_string(thresh),
-                          res.llcMissRate(), "",
+                              + std::to_string(thresholds[i]),
+                          cell.row.llcMissRate(), "",
                           obs::Direction::Info);
         }
         std::printf("\n");
-        std::fflush(stdout);
     }
+    bench::reportResilience(report, outcome);
     report.write();
-    return 0;
+    return outcome.degraded() ? 2 : 0;
 }

@@ -2,13 +2,12 @@
  * @file
  * Ablation (§4.4): Glider's dynamic training-threshold selection vs
  * each fixed threshold from the candidate set {0, 30, 100, 300,
- * 3000}. The paper notes the adaptive scheme "provides some benefit
- * for single-core workloads" while multi-core performance is largely
- * threshold-insensitive.
+ * 3000}, one Glider{threshold=T} sweep cell each. The paper notes the
+ * adaptive scheme "provides some benefit for single-core workloads"
+ * while multi-core performance is largely threshold-insensitive.
  */
 
 #include "bench_common.hh"
-#include "core/glider_policy.hh"
 
 using namespace glider;
 
@@ -22,40 +21,39 @@ main()
 
     const auto subset = std::vector<std::string>{"omnetpp", "mcf",
                                                  "sphinx3", "bfs"};
+    const int fixed[] = {0, 30, 100, 300, 3000};
+    // The adaptive default first, then each fixed threshold.
+    std::vector<std::string> specs{"Glider"}, suffixes{"adaptive"};
+    for (int t : fixed) {
+        specs.push_back("Glider{threshold=" + std::to_string(t) + "}");
+        suffixes.push_back("fixed" + std::to_string(t));
+    }
+    const auto outcome =
+        bench::runSpecSweep("ablation_threshold", subset, specs);
+
     std::printf("%-10s %9s", "Program", "adaptive");
-    for (int t : {0, 30, 100, 300, 3000})
+    for (int t : fixed)
         std::printf("   fix=%-5d", t);
     std::printf("  (LLC miss rate)\n");
-
     auto report = bench::makeReport("ablation_threshold");
     for (const auto &name : subset) {
-        const auto &trace = bench::buildTrace(name);
         std::printf("%-10s", name.c_str());
-
-        core::GliderConfig adaptive;
-        adaptive.adaptive_threshold = true;
-        sim::SimOptions opts;
-        auto res = sim::runSingleCore(
-            trace, std::make_unique<core::GliderPolicy>(adaptive), opts);
-        std::printf(" %8.4f", res.llcMissRate());
-        report.metric("miss_rate." + name + ".adaptive",
-                      res.llcMissRate(), "", obs::Direction::Info);
-
-        for (int t : {0, 30, 100, 300, 3000}) {
-            core::GliderConfig fixed;
-            fixed.adaptive_threshold = false;
-            fixed.fixed_threshold = t;
-            auto r = sim::runSingleCore(
-                trace, std::make_unique<core::GliderPolicy>(fixed),
-                opts);
-            std::printf("   %8.4f", r.llcMissRate());
-            report.metric("miss_rate." + name + ".fixed"
-                              + std::to_string(t),
-                          r.llcMissRate(), "", obs::Direction::Info);
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            // The adaptive column is one character narrower.
+            std::printf(i == 0 ? " " : "   ");
+            const auto &cell = outcome.at(name + "/" + specs[i]);
+            if (!cell.ok()) {
+                std::printf("%8s", "n/a");
+                continue;
+            }
+            std::printf("%8.4f", cell.row.llcMissRate());
+            report.metric("miss_rate." + name + "." + suffixes[i],
+                          cell.row.llcMissRate(), "",
+                          obs::Direction::Info);
         }
         std::printf("\n");
-        std::fflush(stdout);
     }
+    bench::reportResilience(report, outcome);
     report.write();
-    return 0;
+    return outcome.degraded() ? 2 : 0;
 }

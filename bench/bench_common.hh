@@ -104,37 +104,16 @@ printBanner(const char *experiment, const char *paper_result)
 }
 
 /**
- * The trace for one workload at the bench length, generated once per
- * process (traces::TraceCache behind workloads::cachedTrace) and
- * shared read-only by every policy and harness thread.
+ * The trace for one workload at @p accesses (default: the bench
+ * length), generated once per process (traces::TraceCache behind
+ * workloads::cachedTrace) and shared read-only by every policy and
+ * harness thread.
  */
 inline const traces::Trace &
-buildTrace(const std::string &name)
+buildTrace(const std::string &name,
+           std::uint64_t accesses = traceAccesses())
 {
-    return workloads::cachedTrace(name, traceAccesses());
-}
-
-/**
- * The access stream for one workload at the bench length, behind the
- * generate-once/stream-many switch: with $GLIDER_TRACE_SPILL set the
- * trace is spilled to (or reused from) an on-disk gtrace and streamed
- * chunk by chunk with O(1) resident memory; otherwise it wraps the
- * in-memory cached trace. Both deliver identical records, so results
- * are bit-identical either way.
- */
-inline std::unique_ptr<sim::AccessSource>
-buildSource(const std::string &name)
-{
-    if (workloads::traceSpillEnabled()) {
-        std::string path =
-            workloads::ensureSpilledTrace(name, traceAccesses());
-        traces::StreamingTrace st;
-        std::string error;
-        if (!st.open(path, &error))
-            GLIDER_FATAL("cannot stream " + path + ": " + error);
-        return std::make_unique<sim::StreamingSource>(std::move(st));
-    }
-    return std::make_unique<sim::TraceSource>(buildTrace(name));
+    return workloads::cachedTrace(name, accesses);
 }
 
 /**
@@ -149,40 +128,27 @@ scenarioAccesses()
     return v > 0 ? v : traceAccesses();
 }
 
-/** buildTrace at the scenario length (adversarial grid cells). */
-inline const traces::Trace &
-buildScenarioTrace(const std::string &name)
-{
-    return workloads::cachedTrace(name, scenarioAccesses());
-}
-
-/** buildSource at the scenario length (adversarial grid cells). */
+/**
+ * The access stream for one workload at @p accesses, behind the
+ * generate-once/stream-many switch: with $GLIDER_TRACE_SPILL set the
+ * trace is spilled to (or reused from) an on-disk gtrace and streamed
+ * chunk by chunk with O(1) resident memory; otherwise it wraps the
+ * in-memory cached trace. Both deliver identical records, so results
+ * are bit-identical either way.
+ */
 inline std::unique_ptr<sim::AccessSource>
-buildScenarioSource(const std::string &name)
+buildSource(const std::string &name,
+            std::uint64_t accesses = traceAccesses())
 {
     if (workloads::traceSpillEnabled()) {
-        std::string path =
-            workloads::ensureSpilledTrace(name, scenarioAccesses());
+        std::string path = workloads::ensureSpilledTrace(name, accesses);
         traces::StreamingTrace st;
         std::string error;
         if (!st.open(path, &error))
             GLIDER_FATAL("cannot stream " + path + ": " + error);
         return std::make_unique<sim::StreamingSource>(std::move(st));
     }
-    return std::make_unique<sim::TraceSource>(buildScenarioTrace(name));
-}
-
-/**
- * Run one workload's access source (in-memory or streaming) under one
- * policy on a single core, polling @p cancel when set (sweep cells).
- */
-inline sim::SingleCoreResult
-runPolicy(sim::AccessSource &source, const std::string &policy,
-          const CancelToken *cancel = nullptr)
-{
-    sim::SimOptions opts;
-    opts.cancel = cancel;
-    return sim::runSingleCore(source, core::makePolicy(policy), opts);
+    return std::make_unique<sim::TraceSource>(buildTrace(name, accesses));
 }
 
 /** Percentage change helpers. */
@@ -339,15 +305,20 @@ class SweepRunner
         const resilience::FaultPlan *faults = nullptr;
     };
 
-    /** Queue @p policy on @p workload for runChecked(), keyed
+    /** Queue policy spec @p policy (see core::makePolicy) on
+     *  @p workload at @p accesses for runChecked(), keyed
      *  "workload/policy". */
     void
-    queue(const std::string &workload, const std::string &policy)
+    queue(const std::string &workload, const std::string &policy,
+          std::uint64_t accesses = traceAccesses())
     {
         queueCell(workload + "/" + policy,
-                  [workload, policy](const CancelToken &cancel) {
-                      auto source = buildSource(workload);
-                      return runPolicy(*source, policy, &cancel);
+                  [workload, policy, accesses](const CancelToken &cancel) {
+                      sim::SimOptions opts;
+                      opts.cancel = &cancel;
+                      return sim::runSingleCore(
+                          *buildSource(workload, accesses),
+                          core::makePolicy(policy), opts);
                   });
     }
 
@@ -375,8 +346,6 @@ class SweepRunner
      * are persisted to the checkpoint as they finish (worker-side),
      * so even a SIGKILL mid-sweep loses only in-flight cells.
      */
-    SweepOutcome runChecked() { return runChecked(SweepOptions()); }
-
     SweepOutcome
     runChecked(const SweepOptions &opts)
     {
@@ -450,9 +419,6 @@ class SweepRunner
         }
         return outcome;
     }
-
-    /** Request cooperative cancellation of every running cell. */
-    void cancel() { pool_.cancel(); }
 
     /** Wall time spent inside runChecked(), summed over calls. */
     double wallSeconds() const { return wall_seconds_; }
@@ -618,17 +584,37 @@ sweepOptions(const std::string &sweep_name)
 }
 
 /**
- * Attach a sweep outcome's resilience state to @p report: the
- * degraded flag and one quarantined_cells entry per failed cell.
+ * Run each policy spec of @p specs on each of @p workloads as one
+ * checked sweep named @p sweep_name, cells keyed "workload/spec".
+ */
+inline SweepRunner::SweepOutcome
+runSpecSweep(const std::string &sweep_name,
+             const std::vector<std::string> &workloads,
+             const std::vector<std::string> &specs)
+{
+    SweepRunner sweep;
+    for (const auto &workload : workloads) {
+        for (const auto &spec : specs)
+            sweep.queue(workload, spec);
+    }
+    return sweep.runChecked(sweepOptions(sweep_name));
+}
+
+/**
+ * Attach the resilience state of the cells @p report reads to it:
+ * the degraded flag and one quarantined_cells entry per failed cell.
+ * When several reports view one sweep, @p reads selects each one's
+ * cells by key; by default a report reads every cell.
  */
 inline void
 reportResilience(obs::BenchReport &report,
-                 const SweepRunner::SweepOutcome &outcome)
+                 const SweepRunner::SweepOutcome &outcome,
+                 const std::function<bool(const std::string &)> &reads =
+                     nullptr)
 {
-    report.markDegraded(outcome.degraded());
     for (const auto &c : outcome.cells) {
-        if (!c.ok())
-            report.quarantine(c.key, c.error, c.attempts);
+        if (!c.ok() && (!reads || reads(c.key)))
+            report.quarantine(c.key, c.error, c.attempts); // degrades
     }
 }
 

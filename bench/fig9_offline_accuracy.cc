@@ -149,7 +149,7 @@ main()
                   obs::Direction::HigherBetter);
     // ---- Model x adversarial scenarios ------------------------------
     // How learnable each scenario kernel's Belady labels are, per
-    // predictor family — the offline counterpart of the fig11/fig12
+    // predictor family — the offline counterpart of fig11's
     // policy-zoo grid (traces at GLIDER_SCENARIO_ACCESSES).
     const auto scenarios = workloads::scenarioWorkloads();
     const auto srows = bench::parallelMap(
@@ -158,7 +158,9 @@ main()
                 name + "/offline",
                 [&](const CancelToken &) {
                     return trainAndEvaluate(
-                        bench::buildScenarioTrace(name), lstm_cfg);
+                        bench::buildTrace(name,
+                                          bench::scenarioAccesses()),
+                        lstm_cfg);
                 },
                 recovery, &fault_plan);
         });

@@ -19,8 +19,8 @@
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "obs/bench_report.hh"
-#include "core/glider_policy.hh"
 #include "core/glider_predictor.hh"
+#include "core/policy_factory.hh"
 #include "opt/belady.hh"
 #include "opt/optgen.hh"
 #include "policies/lru.hh"
@@ -88,7 +88,7 @@ BM_LlcAccessGlider(benchmark::State &state)
     sim::CacheConfig cfg;
     cfg.size_bytes = 2 * 1024 * 1024;
     cfg.ways = 16;
-    sim::Cache cache(cfg, std::make_unique<core::GliderPolicy>());
+    sim::Cache cache(cfg, core::makePolicy("Glider"));
     std::uint64_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(

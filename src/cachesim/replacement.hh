@@ -64,6 +64,24 @@ struct SetView
     const LineView *end() const { return lines + ways; }
 };
 
+/**
+ * Online predictor accuracy (Figure 10): OPTgen-labelled predictions
+ * and how many matched OPT. Zero for policies without a predictor.
+ */
+struct PredictorAccuracy
+{
+    std::uint64_t events = 0;  //!< OPTgen-labelled predictions
+    std::uint64_t correct = 0; //!< predictions matching OPT
+
+    double
+    accuracy() const
+    {
+        return events ? static_cast<double>(correct)
+                / static_cast<double>(events)
+                      : 0.0;
+    }
+};
+
 /** One access as seen by the replacement policy. */
 struct ReplacementAccess
 {
@@ -115,6 +133,9 @@ class ReplacementPolicy
     /** The missing line is inserted into @p way. */
     virtual void onInsert(const ReplacementAccess &access,
                           std::uint32_t way) = 0;
+
+    /** Online predictor accuracy since reset(); off the hot path. */
+    virtual PredictorAccuracy predictorAccuracy() const { return {}; }
 
     /**
      * Export policy telemetry (predictor accuracy, training counters,

@@ -133,6 +133,7 @@ runSingleCore(AccessSource &source,
     res.cycles = core.cycles();
     res.ipc = core.ipc();
     res.llc = llc.stats();
+    res.predictor = llc.policy().predictorAccuracy();
     return res;
 }
 

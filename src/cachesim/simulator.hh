@@ -31,19 +31,13 @@ struct SingleCoreResult
     double cycles = 0.0;
     double ipc = 0.0;
     CacheStats llc; //!< measured-phase LLC stats
+    /** LLC policy's online accuracy over the whole run: the warmup
+     *  reset clears the cache stats, not the policy. */
+    PredictorAccuracy predictor;
     std::uint64_t accesses_simulated = 0; //!< trace records replayed
     double sim_seconds = 0.0; //!< wall time of the replay loop
 
     double llcMissRate() const { return llc.missRate(); }
-
-    /** Harness throughput: trace accesses replayed per wall second. */
-    double
-    accessesPerSec() const
-    {
-        return sim_seconds > 0.0
-            ? static_cast<double>(accesses_simulated) / sim_seconds
-            : 0.0;
-    }
 
     /** LLC misses per kilo-instruction. */
     double

@@ -107,14 +107,6 @@ class ThreadPool
         return peak_queue_.load(std::memory_order_relaxed);
     }
 
-    /** Tasks currently waiting (not yet picked up by a worker). */
-    std::size_t
-    queueDepth() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return queue_.size();
-    }
-
     /**
      * Stop accepting tasks, run everything still queued, and join the
      * workers. Idempotent; called by the destructor.

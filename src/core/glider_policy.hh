@@ -17,16 +17,24 @@
 namespace glider {
 namespace core {
 
+/**
+ * Canonical policy spec of @p config: "Glider", plus the keys that
+ * differ from GliderConfig's defaults in braces, in the fixed order
+ * pchr, threshold, confidence (see core::makePolicy, which parses
+ * specs next to this printer in policy_factory.cc).
+ */
+std::string gliderSpec(const GliderConfig &config);
+
 /** Glider replacement (the paper's contribution). */
 class GliderPolicy : public policies::OptGuidedPolicy
 {
   public:
     explicit GliderPolicy(const GliderConfig &config = GliderConfig())
-        : config_(config)
+        : config_(config), name_(gliderSpec(config))
     {
     }
 
-    std::string name() const override { return "Glider"; }
+    std::string name() const override { return name_; }
 
     void
     reset(const sim::CacheGeometry &geom) override
@@ -94,6 +102,7 @@ class GliderPolicy : public policies::OptGuidedPolicy
 
   private:
     GliderConfig config_;
+    std::string name_; //!< canonical spec
     std::unique_ptr<GliderPredictor> predictor_;
     opt::PcHistory snapshot_;
     SlotCounts snapshot_counts_;

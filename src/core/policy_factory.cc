@@ -1,5 +1,9 @@
 #include "policy_factory.hh"
 
+#include <charconv>
+#include <set>
+#include <sstream>
+
 #include "common/logging.hh"
 #include "core/policy_traits.hh"
 #include "glider_policy.hh"
@@ -47,6 +51,21 @@ static_assert(RegisteredPolicy<policies::DecayCountPolicy>);
 // be noexcept.
 static_assert(!PolicyHotPath<verify::CheckedPolicy>);
 
+std::string
+gliderSpec(const GliderConfig &config)
+{
+    const GliderConfig defaults;
+    std::string keys; // each key with a leading ';'
+    if (config.pchr_size != defaults.pchr_size)
+        keys += ";pchr=" + std::to_string(config.pchr_size);
+    if (!config.adaptive_threshold)
+        keys += ";threshold=" + std::to_string(config.fixed_threshold);
+    if (config.confidence_threshold != defaults.confidence_threshold)
+        keys += ";confidence="
+            + std::to_string(config.confidence_threshold);
+    return keys.empty() ? "Glider" : "Glider{" + keys.substr(1) + "}";
+}
+
 std::vector<std::string>
 policyNames()
 {
@@ -70,9 +89,52 @@ zooLineup()
 
 namespace {
 
+/**
+ * GliderConfig of "Glider{key=value;...}", whose brace opens at
+ * @p open; fatal on an unknown or repeated key or a bad value.
+ */
+GliderConfig
+parseGliderKeys(const std::string &spec, std::size_t open)
+{
+    if (spec.back() != '}')
+        GLIDER_FATAL("unterminated policy spec " + spec);
+    GliderConfig cfg;
+    std::set<std::string> seen;
+    std::istringstream keys(spec.substr(open + 1, spec.size() - open - 2));
+    for (std::string item; std::getline(keys, item, ';');) {
+        std::size_t eq = item.find('=');
+        std::string key = item.substr(0, eq);
+        int n = -1;
+        bool ok = eq != std::string::npos && seen.insert(key).second;
+        if (ok) {
+            const char *end = item.data() + item.size();
+            auto [ptr, ec] = std::from_chars(item.data() + eq + 1, end, n);
+            ok = ec == std::errc() && ptr == end && n >= 0;
+        }
+        if (ok && key == "pchr" && n >= 1
+            && static_cast<std::size_t>(n) <= kIsvmMaxHistory) {
+            cfg.pchr_size = static_cast<std::size_t>(n);
+        } else if (ok && key == "threshold") {
+            cfg.adaptive_threshold = false;
+            cfg.fixed_threshold = n;
+        } else if (ok && key == "confidence") {
+            cfg.confidence_threshold = n;
+        } else {
+            GLIDER_FATAL("unknown key or bad value " + item
+                         + " in policy spec " + spec);
+        }
+    }
+    return cfg;
+}
+
 std::unique_ptr<sim::ReplacementPolicy>
 makeRawPolicy(const std::string &name)
 {
+    if (std::size_t open = name.find('{'); open != std::string::npos) {
+        if (name.compare(0, open, "Glider") != 0)
+            GLIDER_FATAL("unknown policy: " + name);
+        return std::make_unique<GliderPolicy>(parseGliderKeys(name, open));
+    }
     if (name == "LRU")
         return std::make_unique<policies::LruPolicy>();
     if (name == "Random")
@@ -111,18 +173,24 @@ makeRawPolicy(const std::string &name)
 } // namespace
 
 std::unique_ptr<sim::ReplacementPolicy>
-makePolicy(const std::string &name)
+makePolicy(const std::string &spec)
 {
-    std::unique_ptr<sim::ReplacementPolicy> policy = makeRawPolicy(name);
+    std::unique_ptr<sim::ReplacementPolicy> policy = makeRawPolicy(spec);
 #ifdef GLIDER_CHECKED
     // Checked builds: every simulation driven through the factory
     // (benches, examples, tests) runs under full invariant checking.
     // True-LRU additionally gets reference-model victim verification.
     verify::CheckedPolicy::Options options;
-    options.verify_lru = name == "LRU";
+    options.verify_lru = spec == "LRU";
     policy = verify::checkedPolicy(std::move(policy), options);
 #endif
     return policy;
+}
+
+std::string
+canonicalPolicySpec(const std::string &spec)
+{
+    return makeRawPolicy(spec)->name();
 }
 
 } // namespace core

@@ -21,13 +21,24 @@ namespace core {
 std::vector<std::string> policyNames();
 
 /**
- * Construct a policy by name ("LRU", "Random", "SRRIP", "BRRIP",
- * "DRRIP", "SHiP", "SHiP++", "MPPPB", "Hawkeye", "Glider", "FRD",
- * "MUSTACHE", "COALESCE", "EntropyAge", "DecayCount").
- * Fatal on unknown names.
+ * Construct a policy from a spec: a policyNames() entry, or Glider
+ * with GliderConfig keys in braces, separated by ';' (',' separates
+ * policies on command lines):
+ *   pchr=K        PCHR size k, 1..kIsvmMaxHistory (default 5)
+ *   threshold=T   fixed training threshold T >= 0 (default adaptive)
+ *   confidence=C  §4.4 insertion confidence C >= 0 (default 60)
+ * e.g. "Glider{pchr=3;threshold=30}". The policy's name() is the
+ * canonical spec. Fatal on an unknown name, key or value.
  */
 std::unique_ptr<sim::ReplacementPolicy>
-makePolicy(const std::string &name);
+makePolicy(const std::string &spec);
+
+/**
+ * Canonical form of @p spec, the name() of the policy it builds:
+ * keys print in the order above and keys equal to their default are
+ * dropped, so "Glider{pchr=5}" is "Glider". Fatal like makePolicy.
+ */
+std::string canonicalPolicySpec(const std::string &spec);
 
 /** The paper's Figure 11–13 lineup: Hawkeye, MPPPB, SHiP++, Glider. */
 std::vector<std::string> paperLineup();
@@ -35,7 +46,7 @@ std::vector<std::string> paperLineup();
 /**
  * The policy zoo (ROADMAP bullet 3): FRD, MUSTACHE, COALESCE, and
  * the two cheap heuristic baselines — the lineup of the adversarial
- * scenario grid in fig11/fig12.
+ * scenario grid in fig11.
  */
 std::vector<std::string> zooLineup();
 

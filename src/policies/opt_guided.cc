@@ -18,7 +18,7 @@ OptGuidedPolicy::reset(const sim::CacheGeometry &geom)
         sampled = 64;
     sampler_ = std::make_unique<opt::OptGenSampler>(geom.sets, geom.ways,
                                                     sampled);
-    accuracy_ = PredictorAccuracy{};
+    accuracy_ = sim::PredictorAccuracy{};
     per_pc_accuracy_.clear();
     lines_.assign(geom.sets * geom.ways, LineState{});
     line_pc_.assign(geom.sets * geom.ways, 0);

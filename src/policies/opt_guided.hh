@@ -24,21 +24,6 @@
 namespace glider {
 namespace policies {
 
-/** Online-accuracy counters for Figure 10. */
-struct PredictorAccuracy
-{
-    std::uint64_t events = 0;  //!< OPTgen-labelled predictions
-    std::uint64_t correct = 0; //!< predictions matching OPT
-
-    double
-    accuracy() const
-    {
-        return events ? static_cast<double>(correct)
-                / static_cast<double>(events)
-                      : 0.0;
-    }
-};
-
 /**
  * Base class implementing the OPTgen-trained replacement framework.
  * Subclasses supply the predictor (predictAccess / onTrainingEvent /
@@ -61,16 +46,9 @@ class OptGuidedPolicy : public sim::ReplacementPolicy
                   std::uint32_t way) noexcept override;
 
     /** Online predictor accuracy vs OPTgen (Figure 10). */
-    const PredictorAccuracy &predictorAccuracy() const
+    sim::PredictorAccuracy predictorAccuracy() const override
     {
         return accuracy_;
-    }
-
-    /** Per-PC accuracy breakdown (Table 4 / diagnostics). */
-    const std::unordered_map<std::uint64_t, PredictorAccuracy> &
-    perPcAccuracy() const
-    {
-        return per_pc_accuracy_;
     }
 
     /**
@@ -129,8 +107,8 @@ class OptGuidedPolicy : public sim::ReplacementPolicy
     void handleEvent(const opt::TrainingEvent &event);
 
     std::unique_ptr<opt::OptGenSampler> sampler_;
-    PredictorAccuracy accuracy_;
-    std::unordered_map<std::uint64_t, PredictorAccuracy>
+    sim::PredictorAccuracy accuracy_;
+    std::unordered_map<std::uint64_t, sim::PredictorAccuracy>
         per_pc_accuracy_;
     std::vector<LineState> lines_; //!< sets x ways, row per set
     std::vector<std::uint64_t> line_pc_;

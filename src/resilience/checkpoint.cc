@@ -1,6 +1,7 @@
 #include "checkpoint.hh"
 
 #include <cstdio>
+#include <stdexcept>
 #include <utility>
 
 #include "common/logging.hh"
@@ -27,28 +28,47 @@ encodeResult(const sim::SingleCoreResult &row)
     llc["bypasses"] = row.llc.bypasses;
     llc["evictions"] = row.llc.evictions;
     v["llc"] = std::move(llc);
+    json::Value predictor = json::Value::object();
+    predictor["events"] = row.predictor.events;
+    predictor["correct"] = row.predictor.correct;
+    v["predictor"] = std::move(predictor);
     return v;
 }
 
 sim::SingleCoreResult
 decodeResult(const json::Value &v)
 {
-    auto u64 = [](const json::Value &field) {
-        return static_cast<std::uint64_t>(field.integer());
+    // Every accessor throws std::runtime_error naming what is wrong,
+    // so a damaged row is rejected whole instead of half-decoded.
+    auto field = [](const json::Value &obj,
+                    const char *key) -> const json::Value & {
+        const json::Value *f = obj.find(key);
+        if (!f)
+            throw std::runtime_error(std::string("row lacks ") + key);
+        return *f;
+    };
+    auto u64 = [&](const json::Value &obj, const char *key) {
+        std::int64_t n = field(obj, key).integer();
+        if (n < 0)
+            throw std::runtime_error(std::string("negative ") + key);
+        return static_cast<std::uint64_t>(n);
     };
     sim::SingleCoreResult row;
-    row.workload = v.find("workload")->str();
-    row.policy = v.find("policy")->str();
-    row.instructions = u64(*v.find("instructions"));
-    row.cycles = v.find("cycles")->number();
-    row.ipc = v.find("ipc")->number();
-    row.accesses_simulated = u64(*v.find("accesses_simulated"));
-    const json::Value &llc = *v.find("llc");
-    row.llc.accesses = u64(*llc.find("accesses"));
-    row.llc.hits = u64(*llc.find("hits"));
-    row.llc.misses = u64(*llc.find("misses"));
-    row.llc.bypasses = u64(*llc.find("bypasses"));
-    row.llc.evictions = u64(*llc.find("evictions"));
+    row.workload = field(v, "workload").str();
+    row.policy = field(v, "policy").str();
+    row.instructions = u64(v, "instructions");
+    row.cycles = field(v, "cycles").number();
+    row.ipc = field(v, "ipc").number();
+    row.accesses_simulated = u64(v, "accesses_simulated");
+    const json::Value &llc = field(v, "llc");
+    row.llc.accesses = u64(llc, "accesses");
+    row.llc.hits = u64(llc, "hits");
+    row.llc.misses = u64(llc, "misses");
+    row.llc.bypasses = u64(llc, "bypasses");
+    row.llc.evictions = u64(llc, "evictions");
+    const json::Value &predictor = field(v, "predictor");
+    row.predictor.events = u64(predictor, "events");
+    row.predictor.correct = u64(predictor, "correct");
     return row;
 }
 
@@ -103,8 +123,16 @@ SweepCheckpoint::load()
 
     std::lock_guard<std::mutex> lock(mutex_);
     rows_.clear();
-    for (const auto &[key, row] : cells->members())
-        rows_[key] = row;
+    for (const auto &[key, row] : cells->members()) {
+        // A row that does not decode is dropped, so its cell reruns.
+        try {
+            decodeResult(row);
+            rows_[key] = row;
+        } catch (const std::exception &e) {
+            GLIDER_WARN("checkpoint " + path_ + ": dropping cell " + key
+                        + " (" + e.what() + ")");
+        }
+    }
     return rows_.size();
 }
 
@@ -122,20 +150,6 @@ SweepCheckpoint::record(const std::string &key, json::Value row)
     std::lock_guard<std::mutex> lock(mutex_);
     rows_[key] = std::move(row);
     save();
-}
-
-std::size_t
-SweepCheckpoint::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return rows_.size();
-}
-
-obs::json::Value
-SweepCheckpoint::toJson() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return toJsonLocked();
 }
 
 obs::json::Value

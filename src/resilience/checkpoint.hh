@@ -4,10 +4,10 @@
  * through obs::json so an interrupted or killed sweep resumes by
  * replaying only the missing cells.
  *
- * Schema (glider-sweep-ckpt, version 1):
+ * Schema (glider-sweep-ckpt, version 2):
  * {
  *   "schema": "glider-sweep-ckpt",
- *   "schema_version": 1,
+ *   "schema_version": 2,
  *   "sweep": "<sweep name>",
  *   "config": { <harness knobs the rows depend on> },
  *   "cells": { "<cell key>": { <encoded row> }, ... }
@@ -53,14 +53,16 @@ class CheckpointMismatch : public std::runtime_error
  */
 obs::json::Value encodeResult(const sim::SingleCoreResult &row);
 
-/** Inverse of encodeResult (sim_seconds restored as 0). */
+/** Inverse of encodeResult (sim_seconds restored as 0).
+ *  @throws std::runtime_error on a missing, mistyped or negative field. */
 sim::SingleCoreResult decodeResult(const obs::json::Value &v);
 
 /** One sweep's checkpoint file. Thread-safe; record() persists. */
 class SweepCheckpoint
 {
   public:
-    static constexpr int kSchemaVersion = 1;
+    /** 2: rows carry the LLC policy's predictor counters. */
+    static constexpr int kSchemaVersion = 2;
 
     /**
      * @param path   Checkpoint file path.
@@ -74,7 +76,8 @@ class SweepCheckpoint
      * Read rows from an existing file. Returns the number of rows
      * recovered; a missing file, wrong schema, or config-fingerprint
      * mismatch recovers nothing (the stale file is superseded on the
-     * next record()).
+     * next record()). A row that decodeResult rejects is dropped with
+     * a warning, so its cell is recomputed.
      */
     std::size_t load();
 
@@ -84,15 +87,12 @@ class SweepCheckpoint
     /** Add @p row under @p key and atomically rewrite the file. */
     void record(const std::string &key, obs::json::Value row);
 
-    std::size_t size() const;
     const std::string &path() const { return path_; }
 
-    /** Serialize the full document (schema above). */
-    obs::json::Value toJson() const;
-
   private:
-    void save() const;                    //!< callers hold mutex_
-    obs::json::Value toJsonLocked() const; //!< callers hold mutex_
+    void save() const; //!< callers hold mutex_
+    /** The full document (schema above); callers hold mutex_. */
+    obs::json::Value toJsonLocked() const;
 
     std::string path_;
     std::string sweep_;

@@ -37,20 +37,6 @@ enum class CellStatus {
     Quarantined //!< every attempt failed; row is absent
 };
 
-inline const char *
-cellStatusName(CellStatus s)
-{
-    switch (s) {
-      case CellStatus::Ok:
-        return "ok";
-      case CellStatus::Resumed:
-        return "resumed";
-      case CellStatus::Quarantined:
-        break;
-    }
-    return "quarantined";
-}
-
 /** Retry/deadline budget for one cell. */
 struct RecoveryOptions
 {

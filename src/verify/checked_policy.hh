@@ -60,6 +60,13 @@ class CheckedPolicy : public sim::ReplacementPolicy
         inner_->exportMetrics(registry, prefix);
     }
 
+    /** Forwarded so online accuracy is unchanged by wrapping. */
+    sim::PredictorAccuracy
+    predictorAccuracy() const override
+    {
+        return inner_->predictorAccuracy();
+    }
+
     void reset(const sim::CacheGeometry &geom) override;
     std::uint32_t victimWay(const sim::ReplacementAccess &access,
                             sim::SetView lines) override;

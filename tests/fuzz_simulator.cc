@@ -187,7 +187,7 @@ tempGtracePath(const char *mode, std::uint64_t seed,
         + ".gtrace";
 }
 
-/** Demand bit-identical LLC and core-model results from two runs. */
+/** Demand bit-identical LLC, core-model and predictor results. */
 void
 requireSameResult(const sim::SingleCoreResult &got,
                   const sim::SingleCoreResult &want,
@@ -203,6 +203,9 @@ requireSameResult(const sim::SingleCoreResult &got,
                         && got.cycles == want.cycles
                         && got.ipc == want.ipc,
                     what + " changed core-model results");
+    verify::require(got.predictor.events == want.predictor.events
+                        && got.predictor.correct == want.predictor.correct,
+                    what + " changed the predictor's accuracy counters");
 }
 
 /**
@@ -313,6 +316,7 @@ runFilterCase(std::uint64_t seed, std::uint64_t case_index,
     ref.instructions = core.instructions();
     ref.cycles = core.cycles();
     ref.ipc = core.ipc();
+    ref.predictor = hier.llc().policy().predictorAccuracy();
 
     auto mem = sim::runSingleCore(s.trace, core::makePolicy(policy), opts);
     requireSameResult(mem, ref,

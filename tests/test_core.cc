@@ -21,6 +21,7 @@
 #include "core/policy_factory.hh"
 #include "policies/hawkeye.hh"
 #include "policies/lru.hh"
+#include "verify/checked_policy.hh"
 
 namespace glider {
 namespace core {
@@ -376,6 +377,51 @@ TEST(PolicyFactory, ZooLineupConstructs)
     for (const auto &name : zoo) {
         EXPECT_TRUE(known.count(name)) << name;
         EXPECT_EQ(makePolicy(name)->name(), name);
+    }
+}
+
+TEST(PolicySpec, CanonicalFormDropsDefaultsAndRoundTrips)
+{
+    EXPECT_EQ(canonicalPolicySpec("Glider{pchr=5}"), "Glider");
+    EXPECT_EQ(canonicalPolicySpec("Glider{confidence=60;pchr=5}"),
+              "Glider");
+    EXPECT_EQ(canonicalPolicySpec("Glider{confidence=0;threshold=30;"
+                                  "pchr=3}"),
+              "Glider{pchr=3;threshold=30;confidence=0}");
+    for (const std::string spec :
+         {"Glider", "Glider{pchr=3}", "Glider{threshold=0}",
+          "Glider{pchr=8;confidence=1048576}"}) {
+        EXPECT_EQ(canonicalPolicySpec(spec), spec);
+        EXPECT_EQ(makePolicy(spec)->name(), spec);
+    }
+}
+
+TEST(PolicySpec, KeysReachTheGliderConfig)
+{
+    auto policy = makePolicy("Glider{pchr=3;threshold=100;confidence=7}");
+    policy->reset(sim::CacheGeometry{64, 16, 1});
+    sim::ReplacementPolicy *inner = policy.get();
+    if (auto *checked = dynamic_cast<verify::CheckedPolicy *>(inner))
+        inner = &checked->inner(); // GLIDER_CHECKED builds wrap it
+    auto *glider = dynamic_cast<GliderPolicy *>(inner);
+    ASSERT_NE(glider, nullptr);
+    const GliderConfig &cfg = glider->predictor().config();
+    EXPECT_EQ(cfg.pchr_size, 3u);
+    EXPECT_FALSE(cfg.adaptive_threshold);
+    EXPECT_EQ(cfg.fixed_threshold, 100);
+    EXPECT_EQ(cfg.confidence_threshold, 7);
+}
+
+TEST(PolicySpecDeathTest, UnknownNameKeyOrValueIsFatal)
+{
+    for (const std::string spec :
+         {"Glidr", "LRU{pchr=3}", "Glider{k=3}", "Glider{pchr=x}",
+          "Glider{pchr=0}", "Glider{pchr=3,threshold=30}",
+          "Glider{threshold=-1}", "Glider{pchr=3;pchr=4}",
+          "Glider{pchr=3", "Glider{=3}"}) {
+        EXPECT_EXIT(canonicalPolicySpec(spec),
+                    ::testing::ExitedWithCode(1), "policy")
+            << spec;
     }
 }
 

@@ -10,11 +10,10 @@
 #include <memory>
 
 #include "cachesim/simulator.hh"
-#include "core/glider_policy.hh"
 #include "core/policy_factory.hh"
+#include "obs/metrics.hh"
 #include "opt/belady.hh"
 #include "opt/llc_stream.hh"
-#include "policies/hawkeye.hh"
 #include "workloads/registry.hh"
 #include "workloads/scheduler_kernel.hh"
 
@@ -144,22 +143,50 @@ TEST(Integration, GliderSpeedupTracksMissReduction)
     }
 }
 
-TEST(Integration, OnlineAccuracyProbesWork)
+TEST(Integration, PredictorCountersMatchHierarchyWalk)
 {
+    // runSingleCore replays only the LLC and reads the policy's
+    // counters after the loop; the warmup reset clears cache stats,
+    // not the policy, so the row must match a full Hierarchy walk.
     const auto &trace = smallSchedulerTrace();
-    // Drive a hierarchy directly so the policy stays reachable for
-    // the accuracy probe after the run.
-    sim::HierarchyConfig cfg = smallHierarchyOpts().hierarchy;
-    // Built directly, not through the factory: checked builds wrap
-    // factory policies in a CheckedPolicy, so a downcast of
-    // hier.llc().policy() would name the wrong dynamic type.
-    auto policy = std::make_unique<core::GliderPolicy>();
-    const core::GliderPolicy &llc_policy = *policy;
-    sim::Hierarchy hier(cfg, 1, std::move(policy));
+    const auto opts = smallHierarchyOpts();
+    for (const std::string policy : {"Hawkeye", "Glider", "LRU"}) {
+        sim::Hierarchy hier(opts.hierarchy, 1, makePolicy(policy));
+        for (const auto &rec : trace)
+            hier.access(0, rec.pc, rec.address, rec.is_write);
+        const auto walked = hier.llc().policy().predictorAccuracy();
+        const auto row =
+            sim::runSingleCore(trace, makePolicy(policy), opts).predictor;
+        EXPECT_EQ(row.events, walked.events) << policy;
+        EXPECT_EQ(row.correct, walked.correct) << policy;
+        if (policy == "LRU") {
+            EXPECT_EQ(row.events, 0u);
+        } else {
+            EXPECT_GT(row.events, 100u) << policy;
+        }
+        if (policy == "Glider") {
+            EXPECT_GT(row.accuracy(), 0.4);
+        }
+    }
+}
+
+TEST(Integration, GliderHierarchyExportsTelemetryTree)
+{
+    // The worked example of the metric tree: per-level stats, online
+    // accuracy, OPTgen occupancy and predictor training counters.
+    const auto &trace = smallSchedulerTrace();
+    sim::Hierarchy hier(smallHierarchyOpts().hierarchy, 1,
+                        makePolicy("Glider"));
     for (const auto &rec : trace)
         hier.access(0, rec.pc, rec.address, rec.is_write);
-    EXPECT_GT(llc_policy.predictorAccuracy().events, 100u);
-    EXPECT_GT(llc_policy.predictorAccuracy().accuracy(), 0.4);
+    obs::Registry telemetry;
+    hier.exportMetrics(telemetry, "hierarchy");
+    for (const char *key : {"hierarchy.llc.policy.accuracy.events",
+                            "hierarchy.llc.policy.optgen.sampled_sets",
+                            "hierarchy.llc.policy.predictor.train_updates",
+                            "hierarchy.llc.shared.hits"})
+        EXPECT_TRUE(telemetry.has(key)) << key;
+    EXPECT_NO_THROW(telemetry.toJson());
 }
 
 TEST(Integration, MultiCoreMixWithGlider)

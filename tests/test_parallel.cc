@@ -171,29 +171,21 @@ TEST(TraceCache, CachedWorkloadTraceMatchesFreshBuild)
     }
 }
 
-/** Field-exact equality: parallel runs must be bit-identical. */
+/** Field-exact equality (every checkpointed field): parallel runs
+ *  must be bit-identical. */
 void
 expectSameResult(const sim::SingleCoreResult &a,
                  const sim::SingleCoreResult &b)
 {
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.policy, b.policy);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.llc.accesses, b.llc.accesses);
-    EXPECT_EQ(a.llc.hits, b.llc.hits);
-    EXPECT_EQ(a.llc.misses, b.llc.misses);
-    EXPECT_EQ(a.llc.bypasses, b.llc.bypasses);
+    EXPECT_EQ(resilience::encodeResult(a).dump(),
+              resilience::encodeResult(b).dump());
 }
 
-/** bench::runPolicy over an in-memory trace. */
+/** A default single-core run of @p policy over @p trace. */
 sim::SingleCoreResult
-runOn(const traces::Trace &trace, const std::string &policy,
-      const CancelToken *cancel = nullptr)
+runOn(const traces::Trace &trace, const std::string &policy)
 {
-    sim::TraceSource source(trace);
-    return bench::runPolicy(source, policy, cancel);
+    return sim::runSingleCore(trace, core::makePolicy(policy));
 }
 
 TEST(TraceCache, PerPolicyResultsUnchangedVsFreshTrace)
@@ -222,18 +214,6 @@ hermeticOptions()
     return opts;
 }
 
-/** Queue @p policy on @p name's short cached trace, keyed name/policy. */
-void
-queueShort(bench::SweepRunner &sweep, const std::string &name,
-           const std::string &policy, std::uint64_t n)
-{
-    sweep.queueCell(name + "/" + policy,
-                    [name, policy, n](const CancelToken &cancel) {
-                        return runOn(workloads::cachedTrace(name, n),
-                                     policy, &cancel);
-                    });
-}
-
 TEST(SweepRunner, SerialAndParallelTablesIdentical)
 {
     const std::uint64_t n = 20'000;
@@ -245,8 +225,8 @@ TEST(SweepRunner, SerialAndParallelTablesIdentical)
     EXPECT_EQ(parallel.threads(), 4u);
     for (const auto &name : names) {
         for (const auto &policy : policies) {
-            queueShort(serial, name, policy, n);
-            queueShort(parallel, name, policy, n);
+            serial.queue(name, policy, n);
+            parallel.queue(name, policy, n);
         }
     }
     EXPECT_EQ(parallel.queuedCells(), names.size() * policies.size());
@@ -275,8 +255,8 @@ TEST(SweepRunner, MatchesDirectSerialHarness)
 {
     const std::uint64_t n = 20'000;
     bench::SweepRunner sweep(3);
-    queueShort(sweep, "astar", "LRU", n);
-    queueShort(sweep, "astar", "SHiP++", n);
+    sweep.queue("astar", "LRU", n);
+    sweep.queue("astar", "SHiP++", n);
     auto outcome = sweep.runChecked(hermeticOptions());
     ASSERT_EQ(outcome.cells.size(), 2u);
     EXPECT_FALSE(outcome.degraded());

@@ -39,6 +39,8 @@ makeRow(const std::string &name, double ipc)
     r.llc.bypasses = 7;
     r.llc.evictions = 93;
     r.accesses_simulated = 400;
+    r.predictor.events = 50;
+    r.predictor.correct = 40;
     r.sim_seconds = 1.25; // wall time: must not survive encoding
     return r;
 }
@@ -185,9 +187,24 @@ TEST(Checkpoint, EncodeDecodeRoundTrips)
     EXPECT_EQ(decoded.llc.bypasses, row.llc.bypasses);
     EXPECT_EQ(decoded.llc.evictions, row.llc.evictions);
     EXPECT_EQ(decoded.accesses_simulated, row.accesses_simulated);
+    EXPECT_EQ(decoded.predictor.events, row.predictor.events);
+    EXPECT_EQ(decoded.predictor.correct, row.predictor.correct);
     // Wall time is excluded from the checkpoint by design.
     EXPECT_EQ(decoded.sim_seconds, 0.0);
     EXPECT_TRUE(encodeResult(decoded) == encoded);
+}
+
+TEST(Checkpoint, DecodeRejectsEveryMissingField)
+{
+    const auto full = encodeResult(makeRow("a", 1.0));
+    for (const auto &dropped : full.members()) {
+        auto cut = obs::json::Value::object();
+        for (const auto &[k, v] : full.members())
+            if (k != dropped.first)
+                cut[k] = v;
+        EXPECT_THROW(decodeResult(cut), std::runtime_error)
+            << dropped.first;
+    }
 }
 
 TEST(Checkpoint, RecordsAndReloads)
@@ -391,6 +408,41 @@ TEST(SweepRunner, VerifyAcceptsDeterministicResumedRow)
     auto outcome = sweep.runChecked(opts);
     ASSERT_EQ(outcome.cells.size(), 1u);
     EXPECT_EQ(outcome.cells[0].status, CellStatus::Resumed);
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, TruncatedRowIsDroppedAndRecomputed)
+{
+    const std::string path = tempPath("ckpt_truncated.json");
+    std::remove(path.c_str());
+    const std::vector<std::string> keys = {"a/LRU", "b/LRU", "c/LRU"};
+    {
+        // A schema-valid file whose b/LRU row was cut short.
+        SweepCheckpoint ckpt(path, "unit", obs::json::Value::object());
+        for (const auto &key : keys)
+            ckpt.record(key, encodeResult(makeRow(key, 3.0)));
+        auto truncated = obs::json::Value::object();
+        truncated["workload"] = "b/LRU";
+        ckpt.record("b/LRU", truncated);
+    }
+    auto run = [&](const std::string &ckpt_path) {
+        bench::SweepRunner sweep(2);
+        for (const auto &key : keys) {
+            sweep.queueCell(key, [key](const CancelToken &) {
+                return makeRow(key, 3.0);
+            });
+        }
+        auto opts = hermeticOptions();
+        opts.checkpoint_path = ckpt_path;
+        return sweep.runChecked(opts);
+    };
+    const auto resumed = run(path);
+    EXPECT_EQ(resumed.resumed, 2u); // b/LRU was dropped and recomputed
+    const auto fresh = run("");
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        EXPECT_EQ(encodeResult(resumed.cells[i].row).dump(),
+                  encodeResult(fresh.cells[i].row).dump());
+    }
     std::remove(path.c_str());
 }
 

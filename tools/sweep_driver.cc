@@ -2,7 +2,7 @@
  * @file
  * Multi-process sweep driver: shards a (workload x policy) sweep's
  * cells across worker processes that coordinate exclusively through
- * the glider-sweep-ckpt v1 checkpoint schema.
+ * the glider-sweep-ckpt checkpoint schema.
  *
  * Topology
  *   coordinator          owns the merged checkpoint <ckpt>
@@ -26,7 +26,7 @@
  *      next round, up to --max-rounds.
  *
  * Byte-identity: the merged checkpoint serializes cells sorted by key
- * and rows exclude wall-clock fields (the glider-sweep-ckpt v1
+ * and rows exclude wall-clock fields (the glider-sweep-ckpt
  * contract), so the file — and the report printed from it — is
  * byte-identical to a single-process (--workers 1) run, regardless of
  * worker count, kills, or resume history. All driver chatter is
@@ -101,7 +101,9 @@ usage()
         "                    [--inject-worker K]\n"
         "Multi-process (workload x policy) sweep coordinating through\n"
         "the glider-sweep-ckpt checkpoint. Defaults: the Figure 11\n"
-        "workloads under LRU + the paper lineup.\n");
+        "workloads under LRU + the paper lineup. A policy is a name or\n"
+        "a spec with ';'-separated keys, e.g. 'Glider{pchr=3;threshold=30}'\n"
+        "(keys: pchr, threshold, confidence; see core::makePolicy).\n");
     return 2;
 }
 
@@ -140,6 +142,9 @@ parseArgs(int argc, char **argv, Options &opt)
         for (const auto &p : core::paperLineup())
             opt.policies.push_back(p);
     }
+    // Cell keys use the canonical spec; a bad spec is fatal up front.
+    for (auto &p : opt.policies)
+        p = core::canonicalPolicySpec(p);
     return true;
 }
 
