@@ -198,11 +198,20 @@ printAccuracyView(const bench::SweepRunner &sweep, const Outcome &outcome,
                       dir);
     };
     std::vector<double> hk, gl;
+    std::uint64_t unlabelled = 0;
     for (const auto &name : names) {
         const auto &hc = outcome.at(name + "/Hawkeye");
         const auto &gc = outcome.at(name + "/Glider");
         if (!hc.ok() || !gc.ok()) {
             std::printf("%-14s %10s %10s\n", name.c_str(), "n/a", "n/a");
+            continue;
+        }
+        // No OPTgen-labelled prediction means no accuracy to report,
+        // not 0%: the row stays out of both averages.
+        if (hc.row.predictor.events == 0 || gc.row.predictor.events == 0) {
+            ++unlabelled;
+            std::printf("%-14s %10s %10s\n", name.c_str(), "no labels",
+                        "no labels");
             continue;
         }
         double h = 100.0 * hc.row.predictor.accuracy();
@@ -216,6 +225,9 @@ printAccuracyView(const bench::SweepRunner &sweep, const Outcome &outcome,
     std::printf("%-14s %9.1f%% %9.1f%% %+7.1f\n", "average", amean(hk),
                 amean(gl), amean(gl) - amean(hk));
     record("avg", amean(hk), amean(gl), obs::Direction::HigherBetter);
+    report.metric("online_accuracy_pct.rows_without_labels",
+                  static_cast<double>(unlabelled), "rows",
+                  obs::Direction::Info);
     std::printf("\nShape check (paper): Glider's average online "
                 "accuracy exceeds Hawkeye's (88.8%% vs 84.9%% there), "
                 "with the\nlargest gains on context-dependent "

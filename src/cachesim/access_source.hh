@@ -9,8 +9,9 @@
  * chunk resident at a time, consumed pages dropped behind the cursor).
  * Both deliver identical record sequences, so streamed results are
  * bit-identical to in-memory ones by construction. A TraceSource also
- * hands over the trace's memoised private-filter codes; a streamed
- * source has none, and the driver filters each chunk as it arrives.
+ * hands over the trace's memoised private-filter codes for a core's
+ * first pass; a streamed source has none, and the replay filters each
+ * chunk as it arrives.
  */
 
 #ifndef GLIDER_CACHESIM_ACCESS_SOURCE_HH
@@ -55,9 +56,9 @@ class AccessSource
     virtual void rewind() = 0;
 
     /**
-     * The private-filter codes of one full pass under @p config's
-     * L1/L2, when the source keeps them (see PrivateFilter::of);
-     * nullptr otherwise.
+     * The private-filter codes of one pass through cold L1/L2 of
+     * @p config's shape, when the source keeps them (see
+     * PrivateFilter::of); nullptr otherwise.
      */
     virtual std::shared_ptr<const DepthCodes>
     memoisedDepths(const HierarchyConfig &) const

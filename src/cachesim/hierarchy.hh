@@ -27,7 +27,10 @@ std::uint32_t latencyOf(const HierarchyConfig &config, AccessDepth depth);
 /** Factory for the LLC policy under study. */
 using PolicyFactory = std::function<std::unique_ptr<ReplacementPolicy>()>;
 
-/** Private L1/L2 per core (a PrivateFilter each) plus a shared LLC. */
+/**
+ * Private L1/L2 per core (a PrivateFilter each) plus a shared LLC: the
+ * full walk the replay loop's codes are checked against.
+ */
 class Hierarchy
 {
   public:
@@ -75,9 +78,9 @@ class Hierarchy
 
     /**
      * Snapshot every level's stats — l1.core<N>/l2.core<N>/llc
-     * subtrees, per-core LLC traffic, the LLC policy's telemetry, and
-     * (in GLIDER_METRICS builds) the access-latency histogram — into
-     * @p registry under @p prefix. Use a fresh registry per export.
+     * subtrees, per-core LLC traffic and the LLC policy's telemetry —
+     * into @p registry under @p prefix. Use a fresh registry per
+     * export.
      */
     void exportMetrics(obs::Registry &registry,
                        const std::string &prefix) const;
@@ -89,8 +92,6 @@ class Hierarchy
     std::unique_ptr<Cache> llc_;
     std::vector<std::uint64_t> llc_core_accesses_;
     std::vector<std::uint64_t> llc_core_misses_;
-    //! Round-trip latency of each access; no-op unless GLIDER_METRICS.
-    obs::HotHistogram access_latency_;
 };
 
 } // namespace sim

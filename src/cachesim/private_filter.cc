@@ -24,7 +24,7 @@ PrivateFilter::filter(std::span<const traces::AccessRecord> records,
     out.llc_ = 0;
     for (std::size_t i = 0; i < records.size(); ++i) {
         const auto &rec = records[i];
-        // Single-core replay: every record runs on core 0.
+        // True LRU ignores the core id, so every record runs as core 0.
         PrivateDepth d = access(0, rec.pc, traces::blockAddr(rec.address),
                                 rec.is_write);
         out.llc_ += d == PrivateDepth::Llc;

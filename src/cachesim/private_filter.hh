@@ -8,10 +8,9 @@
  * stops in the private levels — and hence the LLC access stream —
  * depends only on the trace and the L1/L2 shapes, never on the LLC
  * policy. PrivateFilter computes that as one 2-bit depth code per
- * access; single-core replay then walks only the LLC, and
- * opt::extractLlcStream selects the LLC-bound records. Hierarchy
- * builds one PrivateFilter per core, so the multi-core walk runs the
- * same L1/L2 code.
+ * access; the replay loop then walks only the LLC, and
+ * opt::extractLlcStream selects the LLC-bound records. The replay and
+ * the reference Hierarchy walk keep one PrivateFilter per core.
  */
 
 #ifndef GLIDER_CACHESIM_PRIVATE_FILTER_HH

@@ -1,7 +1,9 @@
 #include "simulator.hh"
 
+#include <algorithm>
 #include <chrono>
-#include <optional>
+#include <cmath>
+#include <deque>
 #include <stdexcept>
 
 #include "common/logging.hh"
@@ -19,16 +21,10 @@ namespace {
 constexpr std::uint64_t kCancelCheckMask = 4095;
 
 /**
- * Per-core read cursor over an AccessSource: a position inside the
- * current chunk. Refilling walks to the next chunk and wraps (rewind)
- * at end-of-stream, which is exactly the old in-memory
- * `cursor = (cursor + 1) % size` early-finisher rule.
+ * Each core runs its own process, but workload kernels all allocate
+ * from the same base: the core id is ORed into the address from here.
  */
-struct ChunkCursor
-{
-    std::span<const traces::AccessRecord> chunk;
-    std::size_t pos = 0;
-};
+constexpr unsigned kCoreFoldShift = 44;
 
 /**
  * Accesses before the stats reset. Fractions outside [0, 1) (and NaN)
@@ -48,6 +44,197 @@ warmupAccesses(double fraction, std::uint64_t accesses)
                                       * static_cast<double>(accesses));
 }
 
+/**
+ * One core's cursor over its source, and its private L1/L2. The first
+ * pass reads the source's memoised depth codes when it has any;
+ * otherwise each chunk is filtered as it arrives. A rewind after a
+ * memoised pass first runs that pass once through the filter, codes
+ * discarded, so the filter enters the next pass in the state the full
+ * walk carries over; from then on it filters live. Nothing the LLC
+ * does reaches L1/L2, so filtering a chunk ahead changes no result.
+ */
+struct Lane
+{
+    Lane(AccessSource &src, const HierarchyConfig &config, bool fold)
+        : source(src), memo(src.memoisedDepths(config)), filter(config),
+          codes(memo ? memo.get() : &live), check_fold(fold)
+    {
+        GLIDER_ASSERT(src.size() > 0);
+        GLIDER_ASSERT(!memo || memo->size() == src.size());
+        source.rewind();
+    }
+    // `codes` may point into this Lane's own `live`.
+    Lane(const Lane &) = delete;
+    Lane &operator=(const Lane &) = delete;
+
+    /**
+     * Pull the next chunk, rewinding at the end of the stream (the
+     * early-finisher rule). With more than one core, reject an
+     * address the core fold would alias: its codes, taken unfolded,
+     * could also differ from the folded walk's.
+     */
+    void
+    refill()
+    {
+        if (memo)
+            first += chunk.size();
+        while ((chunk = source.nextChunk()).empty()) {
+            source.rewind();
+            if (memo) {
+                for (auto c = source.nextChunk(); !c.empty();
+                     c = source.nextChunk())
+                    filter.filter(c, live);
+                source.rewind();
+                memo.reset();
+                codes = &live;
+                first = 0;
+            }
+        }
+        pos = 0;
+        if (check_fold) {
+            std::uint64_t bits = 0;
+            for (const auto &rec : chunk)
+                bits |= rec.address;
+            if (bits >> kCoreFoldShift)
+                // glider-lint: allow(hotpath-transitive) input check,
+                // never taken on a valid trace; the run ends here
+                throw std::invalid_argument(
+                    "multi-core replay: a trace address sets bit 44 or "
+                    "above, where the core id is folded in");
+        }
+        if (!memo)
+            filter.filter(chunk, live);
+    }
+
+    AccessSource &source;
+    std::shared_ptr<const DepthCodes> memo; //!< first pass only
+    PrivateFilter filter;
+    DepthCodes live;         //!< the current chunk's codes, once live
+    const DepthCodes *codes; //!< memo or live
+    std::span<const traces::AccessRecord> chunk;
+    std::uint64_t first = 0; //!< codes index of chunk[0]; 0 once live
+    std::size_t pos = 0;
+    std::uint64_t executed = 0; //!< accesses in this phase
+    bool check_fold;
+};
+
+/**
+ * The one replay loop: one source per core, each stepping
+ * @p models[core], against the shared @p llc. Every core runs
+ * @p warmup accesses, then all counters reset, and the run ends once
+ * every core has run @p quota more. Only PrivateDepth::Llc records
+ * reach the LLC, on the core-folded address. @return accesses run.
+ */
+std::uint64_t
+replay(std::span<AccessSource *const> sources, Cache &llc,
+       std::span<CoreModel> models, std::uint64_t warmup,
+       std::uint64_t quota, const SimOptions &opts)
+{
+    const auto cores = static_cast<unsigned>(sources.size());
+    GLIDER_ASSERT(cores >= 1 && models.size() == cores);
+    std::uint32_t latency[4];
+    for (AccessDepth d : {AccessDepth::L1, AccessDepth::L2,
+                          AccessDepth::Llc, AccessDepth::Dram})
+        latency[static_cast<int>(d)] = latencyOf(opts.hierarchy, d);
+    // A deque constructs each Lane in place and never moves it.
+    std::deque<Lane> lanes;
+    for (auto *s : sources) {
+        GLIDER_ASSERT(s);
+        lanes.emplace_back(*s, opts.hierarchy, cores > 1); // glider-lint: allow(hotpath-alloc) per-run setup
+    }
+
+    // The warmup phase runs until every core has done `warmup`
+    // accesses, the measured one until every core has done `quota`
+    // more. A core's count crosses the phase's mark once, so counting
+    // the cores short of it replaces a rescan of every core.
+    bool warm = warmup == 0;
+    std::uint64_t mark = warm ? quota : warmup;
+    unsigned short_of = mark > 0 ? cores : 0;
+    std::uint64_t i = 0;
+    while (short_of > 0) {
+        // Timing order: the core with the fewest cycles runs next, the
+        // lowest index on a tie, which is how simultaneous execution
+        // serialises onto the shared LLC. It keeps running while it
+        // stays that core: below every lower-indexed core's cycles
+        // (`lo`) and not above a higher one's (`hi`). One core runs
+        // throughout.
+        unsigned next = 0;
+        double lo = HUGE_VAL, hi = HUGE_VAL;
+        for (unsigned c = 1; c < cores; ++c) {
+            const double t = models[c].cycles();
+            if (t < models[next].cycles()) {
+                lo = std::min({lo, hi, models[next].cycles()});
+                hi = HUGE_VAL;
+                next = c;
+            } else {
+                hi = std::min(hi, t);
+            }
+        }
+        Lane &lane = lanes[next];
+        // Moved to a local for the batch, so the clock can live in
+        // registers; it goes back before anything reads models[].
+        CoreModel model = std::move(models[next]);
+        const auto core = static_cast<std::uint8_t>(next);
+        const std::uint64_t fold = std::uint64_t{next} << kCoreFoldShift;
+        bool stay = true;
+        while (stay && short_of > 0) {
+            if (lane.pos == lane.chunk.size())
+                lane.refill();
+            // Run the chunk from locals, stopping at the phase mark.
+            const traces::AccessRecord *records = lane.chunk.data();
+            const DepthCodes &codes = *lane.codes;
+            const std::uint64_t first = lane.first;
+            const std::size_t begin = lane.pos;
+            std::size_t end = lane.chunk.size();
+            if (lane.executed < mark)
+                end = std::min<std::uint64_t>(end,
+                                              begin + mark - lane.executed);
+            std::size_t k = begin;
+            do {
+                if (opts.cancel && (i & kCancelCheckMask) == 0)
+                    opts.cancel->throwIfCancelled();
+                ++i;
+                const auto &rec = records[k];
+                AccessDepth depth = AccessDepth::L1;
+                switch (codes[first + k]) {
+                  case PrivateDepth::L1:
+                    break;
+                  case PrivateDepth::L2:
+                    depth = AccessDepth::L2;
+                    break;
+                  case PrivateDepth::Llc:
+                    depth = llc.access(core, rec.pc,
+                                       traces::blockAddr(rec.address | fold),
+                                       rec.is_write)
+                        ? AccessDepth::Llc
+                        : AccessDepth::Dram;
+                    break;
+                }
+                model.step(depth, latency[static_cast<int>(depth)]);
+                stay = model.cycles() < lo && model.cycles() <= hi;
+            } while (++k < end && stay);
+            lane.pos = k;
+            lane.executed += k - begin;
+            if (lane.executed == mark)
+                --short_of;
+        }
+        models[next] = std::move(model);
+        if (short_of == 0 && !warm) {
+            warm = true;
+            llc.clearStats();
+            for (unsigned c = 0; c < cores; ++c) {
+                models[c].clearCounters();
+                lanes[c].executed = 0;
+            }
+            mark = quota;
+            short_of = quota > 0 ? cores : 0;
+        }
+    }
+    for (auto &m : models)
+        m.finish();
+    return i;
+}
+
 } // namespace
 
 SingleCoreResult
@@ -56,79 +243,22 @@ runSingleCore(AccessSource &source,
               const SimOptions &opts)
 {
     GLIDER_ASSERT(source.size() > 0);
-    const std::uint64_t warmup_end =
+    // Warmup plus quota is one pass, so the run never rewinds.
+    const std::uint64_t warmup =
         warmupAccesses(opts.warmup_fraction, source.size());
-    // L1 and L2 never depend on the LLC policy, so only the LLC is
-    // simulated here; the private depth of each access comes from the
-    // source's memoised codes, or from filtering each chunk as it
-    // arrives when the source keeps none (streamed traces).
     Cache llc(opts.hierarchy.llc, std::move(llc_policy));
     CoreModel core(opts.core);
-    std::uint32_t latency[4];
-    for (AccessDepth d : {AccessDepth::L1, AccessDepth::L2,
-                          AccessDepth::Llc, AccessDepth::Dram})
-        latency[static_cast<int>(d)] = latencyOf(opts.hierarchy, d);
-
-    std::shared_ptr<const DepthCodes> memo =
-        source.memoisedDepths(opts.hierarchy);
-    GLIDER_ASSERT(!memo || memo->size() == source.size());
-    std::optional<PrivateFilter> filter;
-    DepthCodes chunk_codes;
-    if (!memo) {
-        // glider-lint: allow(hotpath-alloc) per-run setup
-        filter.emplace(opts.hierarchy);
-    }
+    AccessSource *const one[] = {&source};
 
     SingleCoreResult res;
     res.workload = source.name();
     res.policy = llc.policy().name();
-
     auto start = std::chrono::steady_clock::now();
-    source.rewind();
-    std::uint64_t i = 0;
-    for (auto chunk = source.nextChunk(); !chunk.empty();
-         chunk = source.nextChunk()) {
-        // codes[first + k] is the private depth of chunk[k].
-        const DepthCodes *codes = memo.get();
-        std::uint64_t first = i;
-        if (!memo) {
-            filter->filter(chunk, chunk_codes);
-            codes = &chunk_codes;
-            first = 0;
-        }
-        for (std::size_t k = 0; k < chunk.size(); ++k) {
-            if (opts.cancel && (i & kCancelCheckMask) == 0)
-                opts.cancel->throwIfCancelled();
-            AccessDepth depth = AccessDepth::L1;
-            switch ((*codes)[first + k]) {
-              case PrivateDepth::L1:
-                break;
-              case PrivateDepth::L2:
-                depth = AccessDepth::L2;
-                break;
-              case PrivateDepth::Llc: {
-                const auto &rec = chunk[k];
-                depth = llc.access(0, rec.pc,
-                                   traces::blockAddr(rec.address),
-                                   rec.is_write)
-                    ? AccessDepth::Llc
-                    : AccessDepth::Dram;
-                break;
-              }
-            }
-            core.step(depth, latency[static_cast<int>(depth)]);
-            if (++i == warmup_end) {
-                llc.clearStats();
-                core.clearCounters();
-            }
-        }
-    }
-    core.finish();
+    res.accesses_simulated = replay(one, llc, {&core, 1}, warmup,
+                                    source.size() - warmup, opts);
     res.sim_seconds = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count();
-    res.accesses_simulated = i;
-
     res.instructions = core.instructions();
     res.cycles = core.cycles();
     res.ipc = core.ipc();
@@ -152,86 +282,24 @@ runMultiCore(std::span<AccessSource *const> sources,
              std::unique_ptr<ReplacementPolicy> llc_policy,
              std::uint64_t min_accesses_per_core, const SimOptions &opts)
 {
-    auto cores = static_cast<unsigned>(sources.size());
+    const auto cores = static_cast<unsigned>(sources.size());
     GLIDER_ASSERT(cores >= 1);
-    for (auto *s : sources)
-        GLIDER_ASSERT(s && s->size() > 0);
-
-    Hierarchy hier(opts.hierarchy, cores, std::move(llc_policy));
-    std::vector<CoreModel> models(cores, CoreModel(opts.core));
-    std::vector<ChunkCursor> cursor(cores);
-    std::vector<std::uint64_t> executed(cores, 0);
-
-    MultiCoreResult res;
-    res.policy = hier.llc().policy().name();
-    for (auto *s : sources) {
-        s->rewind();
-        res.workloads.push_back(s->name()); // glider-lint: allow(hotpath-alloc) per-run setup
-    }
-
     const std::uint64_t warmup =
         warmupAccesses(opts.warmup_fraction, min_accesses_per_core);
-    bool warm = warmup == 0;
-    // Countdown bookkeeping: per-core counters only ever cross their
-    // quota once (increments are +1 and only reset at the warm
-    // transition), so a count of not-yet-there cores replaces the
-    // O(cores) rescan of every `executed` entry on every access.
-    unsigned cold_cores = warm ? 0 : cores;
-    unsigned pending_cores = min_accesses_per_core > 0 ? cores : 0;
+    Cache llc(opts.hierarchy.llc, std::move(llc_policy), cores);
+    // glider-lint: allow(hotpath-alloc) per-run setup
+    std::vector<CoreModel> models(cores, CoreModel(opts.core));
+    replay(sources, llc, models, warmup, min_accesses_per_core, opts);
 
-    // Timing-ordered interleave: always advance the core with the
-    // lowest accumulated cycle count, which is how simultaneous
-    // execution serialises onto the shared LLC. All cores keep
-    // running (with stream rewind) until every core has executed its
-    // measured quota — the paper's early-finisher rewind rule.
-    std::uint64_t iterations = 0;
-    while (!warm || pending_cores > 0) {
-        if (opts.cancel && (iterations++ & kCancelCheckMask) == 0)
-            opts.cancel->throwIfCancelled();
-        unsigned next = 0;
-        for (unsigned c = 1; c < cores; ++c) {
-            if (models[c].cycles() < models[next].cycles())
-                next = c;
-        }
-        ChunkCursor &cur = cursor[next];
-        while (cur.pos >= cur.chunk.size()) {
-            cur.chunk = sources[next]->nextChunk();
-            cur.pos = 0;
-            if (cur.chunk.empty())
-                sources[next]->rewind();
-        }
-        const auto &rec = cur.chunk[cur.pos++];
-        // Each core runs its own process: disambiguate the virtual
-        // address spaces (workload kernels all allocate from the
-        // same base) by folding the core id into the high bits.
-        std::uint64_t addr =
-            rec.address | (static_cast<std::uint64_t>(next) << 44);
-        AccessDepth depth = hier.access(static_cast<std::uint8_t>(next),
-                                        rec.pc, addr, rec.is_write);
-        models[next].step(depth, hier.latency(depth));
-        ++executed[next];
-
-        if (!warm) {
-            if (executed[next] == warmup && --cold_cores == 0) {
-                warm = true;
-                hier.clearStatsCounters();
-                for (auto &m : models)
-                    m.clearCounters();
-                // glider-lint: allow(hotpath-alloc) once per run, at
-                // the warm transition; assign reuses capacity
-                executed.assign(cores, 0);
-            }
-        } else if (executed[next] == min_accesses_per_core) {
-            --pending_cores;
-        }
-    }
-
+    MultiCoreResult res;
+    res.policy = llc.policy().name();
     for (unsigned c = 0; c < cores; ++c) {
-        models[c].finish();
+        // glider-lint: allow(hotpath-alloc) per-run result assembly
+        res.workloads.push_back(sources[c]->name());
         // glider-lint: allow(hotpath-alloc) per-run result assembly
         res.ipc_shared.push_back(models[c].ipc());
     }
-    res.llc = hier.llc().stats();
+    res.llc = llc.stats();
     return res;
 }
 
@@ -240,18 +308,15 @@ runMultiCore(const std::vector<const traces::Trace *> &traces,
              std::unique_ptr<ReplacementPolicy> llc_policy,
              std::uint64_t min_accesses_per_core, const SimOptions &opts)
 {
-    for (auto *t : traces)
-        GLIDER_ASSERT(t && !t->empty());
+    // glider-lint: allow(hotpath-alloc) per-run setup; the reserve
+    // keeps every TraceSource where `sources` points
     std::vector<TraceSource> wrapped;
-    // glider-lint: allow(hotpath-alloc) per-run setup
     wrapped.reserve(traces.size());
-    for (auto *t : traces)
-        wrapped.emplace_back(*t); // glider-lint: allow(hotpath-alloc) per-run setup
     std::vector<AccessSource *> sources;
-    // glider-lint: allow(hotpath-alloc) per-run setup
-    sources.reserve(wrapped.size());
-    for (auto &w : wrapped)
-        sources.push_back(&w); // glider-lint: allow(hotpath-alloc) per-run setup
+    for (auto *t : traces) {
+        GLIDER_ASSERT(t && !t->empty());
+        sources.push_back(&wrapped.emplace_back(*t)); // glider-lint: allow(hotpath-alloc) per-run setup
+    }
     return runMultiCore(sources, std::move(llc_policy),
                         min_accesses_per_core, opts);
 }

@@ -78,12 +78,10 @@ struct SimOptions
  * Run @p source on a single core with @p llc_policy in the LLC.
  * The first warmup_fraction of accesses prime the caches, then all
  * counters reset and the remainder is measured (the paper warms 200M
- * instructions and measures 1B). This is the one replay loop: it
- * takes each access's private depth from the PrivateFilter codes
- * (memoised per trace, or filtered chunk by chunk for a streamed
- * source), walks only the LLC, and steps the core model. The Trace
- * overload delegates here, so streamed and in-memory runs are
- * bit-identical by construction.
+ * instructions and measures 1B). This is the one-core case of
+ * runMultiCore's replay loop, with warmup plus quota equal to one
+ * pass, so it never rewinds. The Trace overload delegates here, so
+ * streamed and in-memory runs are bit-identical by construction.
  * @throws std::invalid_argument if warmup_fraction is not in [0, 1).
  */
 SingleCoreResult runSingleCore(AccessSource &source,
@@ -101,10 +99,11 @@ SingleCoreResult runSingleCore(const traces::Trace &trace,
  * Run one source per core simultaneously against a shared LLC.
  * Cores proceed in timing order; a core whose stream is exhausted
  * rewinds until every core has executed @p min_accesses_per_core
- * measured accesses (the paper's 250M-instruction rule). Rewinds
- * carry warm L1/L2 state across passes, so this walks the full
- * Hierarchy rather than replaying PrivateFilter codes.
- * @throws std::invalid_argument if warmup_fraction is not in [0, 1).
+ * measured accesses (the paper's 250M-instruction rule). Each core's
+ * private depths come from its own PrivateFilter; only LLC-bound
+ * records walk the LLC, with the core id folded into bits 44 and up.
+ * @throws std::invalid_argument if warmup_fraction is not in [0, 1),
+ *         or, with more than one source, if an address reaches bit 44.
  */
 MultiCoreResult runMultiCore(std::span<AccessSource *const> sources,
                              std::unique_ptr<ReplacementPolicy>

@@ -13,9 +13,10 @@
  * "STREAM" differential (the trace round-tripped through the gtrace
  * codec and replayed via StreamingSource must decode record-exactly
  * and leave every simulation result bit-identical to the in-memory
- * replay) and a "FILTER" differential (the single-core driver, which
- * replays memoised or per-chunk private-filter codes and walks only
- * the LLC, must match a full Hierarchy::access walk exactly, and
+ * replay) and a "FILTER" differential (the replay loop, which reads
+ * memoised or per-chunk private-filter codes and walks only the LLC,
+ * must match a full Hierarchy::access walk exactly, single-core and
+ * on the scenario's core count with forced rewinds, and
  * extractLlcStream must equal the records that walk sent to the LLC).
  *
  * On failure the trace prefix is shrunk while the failure reproduces,
@@ -35,6 +36,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -187,17 +189,22 @@ tempGtracePath(const char *mode, std::uint64_t seed,
         + ".gtrace";
 }
 
+/** Whether two runs left the same LLC statistics. */
+bool
+sameLlc(const sim::CacheStats &a, const sim::CacheStats &b)
+{
+    return a.hits == b.hits && a.misses == b.misses
+        && a.accesses == b.accesses && a.evictions == b.evictions
+        && a.bypasses == b.bypasses;
+}
+
 /** Demand bit-identical LLC, core-model and predictor results. */
 void
 requireSameResult(const sim::SingleCoreResult &got,
                   const sim::SingleCoreResult &want,
                   const std::string &what)
 {
-    verify::require(got.llc.hits == want.llc.hits
-                        && got.llc.misses == want.llc.misses
-                        && got.llc.accesses == want.llc.accesses
-                        && got.llc.evictions == want.llc.evictions
-                        && got.llc.bypasses == want.llc.bypasses,
+    verify::require(sameLlc(got.llc, want.llc),
                     what + " changed LLC statistics");
     verify::require(got.instructions == want.instructions
                         && got.cycles == want.cycles
@@ -271,13 +278,157 @@ runStreamCase(std::uint64_t seed, std::uint64_t case_index,
 }
 
 /**
+ * The multi-core reference: Hierarchy::access on every access, cores
+ * interleaved lowest-cycles-first (lowest index on a tie), a stats
+ * reset once every core has run warmup_fraction x @p quota accesses,
+ * then every core running @p quota more, rewinding at the end of its
+ * trace.
+ */
+sim::MultiCoreResult
+referenceMultiCore(const std::vector<traces::Trace> &traces,
+                   const std::string &policy, std::uint64_t quota,
+                   const sim::SimOptions &opts)
+{
+    const auto cores = static_cast<unsigned>(traces.size());
+    sim::Hierarchy hier(opts.hierarchy, cores, core::makePolicy(policy));
+    std::vector<sim::CoreModel> models(cores, sim::CoreModel(opts.core));
+    std::vector<std::size_t> cursor(cores, 0);
+    std::vector<std::uint64_t> executed(cores, 0);
+    auto allReached = [&](std::uint64_t mark) {
+        for (auto e : executed) {
+            if (e < mark)
+                return false;
+        }
+        return true;
+    };
+    const auto warmup = static_cast<std::uint64_t>(
+        opts.warmup_fraction * static_cast<double>(quota));
+    bool warm = warmup == 0;
+    while (!warm || !allReached(quota)) {
+        unsigned next = 0;
+        for (unsigned c = 1; c < cores; ++c) {
+            if (models[c].cycles() < models[next].cycles())
+                next = c;
+        }
+        const auto &rec = traces[next][cursor[next]];
+        cursor[next] = (cursor[next] + 1) % traces[next].size();
+        sim::AccessDepth depth = hier.access(
+            static_cast<std::uint8_t>(next), rec.pc,
+            rec.address | (static_cast<std::uint64_t>(next) << 44),
+            rec.is_write);
+        models[next].step(depth, hier.latency(depth));
+        ++executed[next];
+        if (!warm && allReached(warmup)) {
+            warm = true;
+            hier.clearStatsCounters();
+            for (auto &m : models)
+                m.clearCounters();
+            executed.assign(cores, 0);
+        }
+    }
+    sim::MultiCoreResult ref;
+    for (auto &m : models) {
+        m.finish();
+        ref.ipc_shared.push_back(m.ipc());
+    }
+    ref.llc = hier.llc().stats();
+    return ref;
+}
+
+/** Demand bit-identical per-core IPC and LLC statistics. */
+void
+requireSameMix(const sim::MultiCoreResult &got,
+               const sim::MultiCoreResult &want, const std::string &what)
+{
+    verify::require(got.ipc_shared == want.ipc_shared,
+                    what + " changed a core's IPC");
+    verify::require(sameLlc(got.llc, want.llc),
+                    what + " changed LLC statistics");
+}
+
+/**
+ * The multi-core half of FILTER: each of the scenario's cores replays
+ * its own rotation of the trace at its own length, and the quota
+ * exceeds every length, so every core rewinds after its memoised
+ * pass. runMultiCore must match the reference exactly from memoised
+ * traces and from streamed gtrace copies, which it filters chunk by
+ * chunk.
+ */
+std::optional<std::string>
+runFilterMixCase(std::uint64_t seed, std::uint64_t case_index,
+                 const Scenario &s, const std::string &policy, Rng &rng)
+{
+    const std::size_t len = s.trace.size();
+    std::vector<traces::Trace> per_core;
+    for (unsigned c = 0; c < s.cores; ++c) {
+        traces::Trace t("core" + std::to_string(c));
+        // Lengths fall by len / (2 * cores) per core, to at least
+        // len / 2.
+        const std::size_t own = len - c * (len / (2 * s.cores));
+        for (std::size_t k = 0; k < own; ++k)
+            t.push(s.trace[(k + c * len / s.cores) % len]);
+        per_core.push_back(std::move(t));
+    }
+    const std::uint64_t quota = len + 1;
+    sim::SimOptions opts;
+    opts.hierarchy = s.hier;
+    opts.warmup_fraction = 0.25;
+    const auto ref = referenceMultiCore(per_core, policy, quota, opts);
+    const std::string what = "FILTER differential (" + policy + ", "
+        + std::to_string(s.cores) + " cores)";
+
+    std::vector<const traces::Trace *> ptrs;
+    for (const auto &t : per_core)
+        ptrs.push_back(&t);
+    requireSameMix(sim::runMultiCore(ptrs, core::makePolicy(policy),
+                                     quota, opts),
+                   ref, what + ": memoised replay with rewinds");
+
+    std::vector<std::string> paths;
+    auto cleanup = [&] {
+        for (const auto &p : paths)
+            std::remove(p.c_str());
+    };
+    std::vector<std::unique_ptr<sim::StreamingSource>> sources;
+    std::vector<sim::AccessSource *> source_ptrs;
+    for (unsigned c = 0; c < s.cores; ++c) {
+        paths.push_back(tempGtracePath(("filter" + std::to_string(c))
+                                           .c_str(),
+                                       seed, case_index));
+        if (auto err = writeGtrace(per_core[c], paths.back(),
+                                   static_cast<std::uint32_t>(
+                                       1 + rng.below(64)))) {
+            cleanup();
+            return "FILTER differential: " + *err;
+        }
+        traces::StreamingTrace st;
+        std::string error;
+        if (!st.open(paths.back(), &error)) {
+            cleanup();
+            return "FILTER differential: reopen failed: " + error;
+        }
+        sources.push_back(
+            std::make_unique<sim::StreamingSource>(std::move(st)));
+        source_ptrs.push_back(sources.back().get());
+    }
+    auto streamed = sim::runMultiCore(source_ptrs,
+                                      core::makePolicy(policy), quota,
+                                      opts);
+    cleanup();
+    requireSameMix(streamed, ref,
+                   what + ": per-chunk filtered replay with rewinds");
+    return std::nullopt;
+}
+
+/**
  * "FILTER" differential: the reference is the full three-level walk
  * (Hierarchy::access on core 0 plus CoreModel, with the driver's
  * warmup reset), which re-runs L1/L2 for every policy. The single-core
  * driver must reproduce it exactly from the private-filter codes,
  * both from the trace's memo and filtering a streamed copy chunk by
  * chunk, and extractLlcStream must select exactly the records the
- * reference sent to the LLC. The LLC policy is case-chosen.
+ * reference sent to the LLC. runFilterMixCase then runs the same
+ * policy on the scenario's cores. The LLC policy is case-chosen.
  */
 std::optional<std::string>
 runFilterCase(std::uint64_t seed, std::uint64_t case_index,
@@ -346,7 +497,7 @@ runFilterCase(std::uint64_t seed, std::uint64_t case_index,
     verify::require(llc.records() == reached_llc.records(),
                     "FILTER differential: extractLlcStream differs from "
                     "the records the full walk sent to the LLC");
-    return std::nullopt;
+    return runFilterMixCase(seed, case_index, s, policy, rng);
 }
 
 /**

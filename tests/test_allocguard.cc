@@ -145,8 +145,8 @@ TEST(AllocGuard, MemoisedReplayLoopIsAllocationFree)
 {
     if (!allocGuardEnabled())
         GTEST_SKIP() << "build with -DGLIDER_ALLOCGUARD=ON";
-    // runSingleCore allocates only in its per-run setup, so with the
-    // filter codes already memoised its allocation count must not
+    // The replay loop allocates only in its per-run setup, so with
+    // the filter codes already memoised its allocation count must not
     // grow with the number of accesses replayed.
     const auto &shorter =
         glider::workloads::cachedTrace("libquantum", 50'000);
@@ -162,6 +162,24 @@ TEST(AllocGuard, MemoisedReplayLoopIsAllocationFree)
     };
     EXPECT_EQ(allocations(longer), allocations(shorter))
         << "the single-core replay loop allocated per access";
+
+    // Two cores whose quotas both exceed either trace, so every core
+    // rewinds after its memoised pass, catches its filter up and
+    // refills live; doubling the quota adds only more of that.
+    const auto &other = glider::workloads::cachedTrace("mcf", 30'000);
+    glider::sim::SimOptions mix;
+    mix.hierarchy = glider::sim::HierarchyConfig::forCores(2);
+    glider::sim::PrivateFilter::of(shorter, mix.hierarchy);
+    glider::sim::PrivateFilter::of(other, mix.hierarchy);
+    auto mixAllocations = [&](std::uint64_t quota) {
+        ScopedAllocCheck guard;
+        glider::sim::runMultiCore({&shorter, &other},
+                                  glider::core::makePolicy("SRRIP"),
+                                  quota, mix);
+        return guard.allocations();
+    };
+    EXPECT_EQ(mixAllocations(120'000), mixAllocations(60'000))
+        << "the multi-core replay loop allocated per access or rewind";
 }
 
 TEST(AllocGuard, CoreModelStepIsAllocationFree)

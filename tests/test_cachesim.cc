@@ -420,6 +420,33 @@ TEST(Simulator, MultiCorePrivateAddressSpaces)
               2 * solo.llc.misses);
 }
 
+TEST(Simulator, MultiCoreRejectsAddressesThatAliasUnderTheCoreFold)
+{
+    // Core 0 folds nothing, so its address 1 << 44 would land on core
+    // 1's block 0 in the shared LLC.
+    traces::Trace high("high");
+    for (int i = 0; i < 1000; ++i)
+        high.push(0x400000, static_cast<std::uint64_t>(i) * 64);
+    high.push(0x400000, std::uint64_t{1} << 44);
+    traces::Trace low("low");
+    for (int i = 0; i < 1000; ++i)
+        low.push(0x400000, static_cast<std::uint64_t>(i) * 64);
+
+    SimOptions opts;
+    opts.hierarchy = HierarchyConfig::forCores(2);
+    opts.warmup_fraction = 0.0;
+    EXPECT_THROW(runMultiCore({&high, &low},
+                              std::make_unique<BasicLruPolicy>(), 2000,
+                              opts),
+                 std::invalid_argument);
+    // A single core folds nothing and accepts any address.
+    EXPECT_NO_THROW(runMultiCore({&high},
+                                 std::make_unique<BasicLruPolicy>(), 2000,
+                                 opts));
+    EXPECT_NO_THROW(
+        runSingleCore(high, std::make_unique<BasicLruPolicy>(), opts));
+}
+
 TEST(Simulator, MultiCoreLlcIsSharedCapacity)
 {
     // One core with a 2-core-sized LLC fits its working set; four
