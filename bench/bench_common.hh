@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <initializer_list>
 #include <future>
 #include <map>
 #include <memory>
@@ -30,6 +31,7 @@
 #include "cachesim/simulator.hh"
 #include "common/cancellation.hh"
 #include "common/env_registry.hh"
+#include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "core/policy_factory.hh"
 #include "obs/bench_report.hh"
@@ -208,32 +210,62 @@ capDataset(offline::OfflineDataset &ds, std::size_t max_accesses)
     }
 }
 
+/** Knobs for BasicSweepRunner::runChecked(). */
+struct SweepOptions
+{
+    /** Stamped into the checkpoint; a file stamped with another
+     *  sweep's name is discarded. */
+    std::string sweep_name = "sweep";
+    /** Checkpoint file; empty disables checkpoint/resume. */
+    std::string checkpoint_path;
+    /** Fingerprint of knobs the rows depend on; a checkpoint
+     *  recorded under a different fingerprint is discarded. */
+    obs::json::Value config = obs::json::Value::object();
+    resilience::RecoveryOptions recovery =
+        resilience::RecoveryOptions::fromEnv();
+    /** Resumed rows to recompute and compare against the
+     *  checkpoint (determinism check). GLIDER_CKPT_VERIFY. */
+    std::size_t verify_resumed = static_cast<std::size_t>(
+        env::u64(env::Knob::CkptVerify));
+    /** Fault plan; nullptr reads $GLIDER_FAULT_INJECT. */
+    const resilience::FaultPlan *faults = nullptr;
+};
+
 /**
- * Parallel experiment runner: fans independent (workload x policy)
- * single-core simulations across sweepThreads() workers and collects
- * the results into a deterministic, insertion-ordered table.
+ * Parallel experiment runner: fans independent keyed cells across
+ * sweepThreads() workers and collects their rows into a
+ * deterministic, insertion-ordered table. Rows of type @p Row are
+ * checkpointed through their one JSON pair @p encode / @p decode;
+ * decode throws std::runtime_error on a row it cannot restore, and
+ * the runner then recomputes that cell.
  *
- * Every cell is an isolated simulation — its own policy instance
- * (fixed constructor seeds), hierarchy, and core model — over a
- * shared read-only cached trace, so the result table is identical
+ * Every cell is isolated — a simulation cell has its own policy
+ * instance (fixed constructor seeds), hierarchy, and core model over a
+ * shared read-only cached trace — so the result table is identical
  * whatever the worker count, and output printed from it is
- * byte-identical to the serial harness's.
+ * byte-identical to a serial harness's.
  *
- * Cells are queued under a key (queue()/queueCell()) and run by
+ * Cells are queued under a unique key (queue()/queueCell()) and run by
  * runChecked() under the resilience layer: per-cell fault isolation
  * (a throwing cell is quarantined, siblings complete), bounded retry
  * with exponential backoff, per-cell soft deadlines via cooperative
  * cancellation, and checkpoint/resume through
  * resilience::SweepCheckpoint.
  */
-class SweepRunner
+template <typename Row = sim::SingleCoreResult,
+          obs::json::Value (*encode)(const Row &) =
+              resilience::encodeResult,
+          Row (*decode)(const obs::json::Value &) =
+              resilience::decodeResult>
+class BasicSweepRunner
 {
   public:
-    /** A keyed cell that polls a cancellation token. */
-    using CancellableCell =
-        std::function<sim::SingleCoreResult(const CancelToken &)>;
+    using SweepOptions = bench::SweepOptions;
 
-    explicit SweepRunner(unsigned threads = sweepThreads())
+    /** A keyed cell that polls a cancellation token. */
+    using CancellableCell = std::function<Row(const CancelToken &)>;
+
+    explicit BasicSweepRunner(unsigned threads = sweepThreads())
         : pool_(threads)
     {
     }
@@ -245,7 +277,7 @@ class SweepRunner
     struct CellOutcome
     {
         std::string key;
-        sim::SingleCoreResult row; //!< zeroed when quarantined
+        Row row; //!< default-constructed when quarantined
         resilience::CellStatus status = resilience::CellStatus::Ok;
         std::string error; //!< last failure, quarantined cells only
         int attempts = 0;  //!< attempts made (0 for resumed cells)
@@ -286,28 +318,9 @@ class SweepRunner
         }
     };
 
-    /** Knobs for runChecked(). */
-    struct SweepOptions
-    {
-        std::string sweep_name = "sweep";
-        /** Checkpoint file; empty disables checkpoint/resume. */
-        std::string checkpoint_path;
-        /** Fingerprint of knobs the rows depend on; a checkpoint
-         *  recorded under a different fingerprint is discarded. */
-        obs::json::Value config = obs::json::Value::object();
-        resilience::RecoveryOptions recovery =
-            resilience::RecoveryOptions::fromEnv();
-        /** Resumed rows to recompute and compare against the
-         *  checkpoint (determinism check). GLIDER_CKPT_VERIFY. */
-        std::size_t verify_resumed = static_cast<std::size_t>(
-            env::u64(env::Knob::CkptVerify));
-        /** Fault plan; nullptr reads $GLIDER_FAULT_INJECT. */
-        const resilience::FaultPlan *faults = nullptr;
-    };
-
     /** Queue policy spec @p policy (see core::makePolicy) on
      *  @p workload at @p accesses for runChecked(), keyed
-     *  "workload/policy". */
+     *  "workload/policy". Simulation rows only. */
     void
     queue(const std::string &workload, const std::string &policy,
           std::uint64_t accesses = traceAccesses())
@@ -322,10 +335,16 @@ class SweepRunner
                   });
     }
 
-    /** Queue an arbitrary keyed cell for runChecked(). */
+    /** Queue an arbitrary keyed cell for runChecked().
+     *  @throws std::invalid_argument if @p key is already queued. */
     void
     queueCell(std::string key, CancellableCell cell)
     {
+        for (const auto &qc : queued_) {
+            if (qc.key == key)
+                throw std::invalid_argument("sweep cell " + key
+                                            + " queued twice");
+        }
         queued_.push_back({std::move(key), std::move(cell)});
     }
 
@@ -336,15 +355,17 @@ class SweepRunner
      * Run every queued keyed cell under the resilience layer and
      * return the outcomes in insertion order.
      *
-     * Cells found in the checkpoint are not recomputed (except the
-     * first verify_resumed of them, which are recomputed and compared
-     * — a mismatch throws resilience::CheckpointMismatch). Fresh
-     * cells run under resilience::runCell: exceptions (including
-     * verify::InvariantViolation) are caught at the cell boundary,
-     * retried up to the recovery budget, and recorded as Quarantined
-     * on exhaustion — sibling cells always complete. Completed rows
-     * are persisted to the checkpoint as they finish (worker-side),
-     * so even a SIGKILL mid-sweep loses only in-flight cells.
+     * Cells whose checkpointed row decodes are not recomputed (except
+     * the first verify_resumed of them, which are recomputed and
+     * compared — a mismatch throws resilience::CheckpointMismatch); a
+     * checkpointed row that does not decode is recomputed with a
+     * warning. Fresh cells run under resilience::runCell: exceptions
+     * (including verify::InvariantViolation) are caught at the cell
+     * boundary, retried up to the recovery budget, and recorded as
+     * Quarantined on exhaustion — sibling cells always complete.
+     * Completed rows are persisted to the checkpoint as they finish
+     * (worker-side), so even a SIGKILL mid-sweep loses only in-flight
+     * cells.
      */
     SweepOutcome
     runChecked(const SweepOptions &opts)
@@ -360,11 +381,7 @@ class SweepRunner
         if (!opts.checkpoint_path.empty()) {
             ckpt = std::make_unique<resilience::SweepCheckpoint>(
                 opts.checkpoint_path, opts.sweep_name, opts.config);
-            std::size_t loaded = ckpt->load();
-            if (loaded > 0) {
-                std::printf("[sweep-ckpt] resumed %zu cells from %s\n",
-                            loaded, ckpt->path().c_str());
-            }
+            ckpt->load();
         }
 
         std::vector<std::future<CellOutcome>> futures;
@@ -401,8 +418,11 @@ class SweepRunner
             switch (c.status) {
               case resilience::CellStatus::Ok:
                 ++cells_run_;
-                accesses_simulated_ += c.row.accesses_simulated;
-                cell_seconds_ += c.row.sim_seconds;
+                // Only simulation rows carry replay telemetry.
+                if constexpr (requires { c.row.accesses_simulated; }) {
+                    accesses_simulated_ += c.row.accesses_simulated;
+                    cell_seconds_ += c.row.sim_seconds;
+                }
                 break;
               case resilience::CellStatus::Resumed:
                 ++outcome.resumed;
@@ -416,6 +436,10 @@ class SweepRunner
                             c.error.c_str());
                 break;
             }
+        }
+        if (outcome.resumed > 0) {
+            std::printf("[sweep-ckpt] resumed %zu cells from %s\n",
+                        outcome.resumed, ckpt->path().c_str());
         }
         return outcome;
     }
@@ -481,36 +505,45 @@ class SweepRunner
         CellOutcome out;
         out.key = key;
         if (resumed) {
-            out.status = resilience::CellStatus::Resumed;
-            out.row = resilience::decodeResult(saved_row);
-            if (verify) {
-                // Determinism check: the resumed row must match the
-                // checkpointed row when recomputed.
-                auto redo =
-                    resilience::runCell<sim::SingleCoreResult>(
-                        key, cell, ropts, faults, &pool_.token());
-                if (redo.status != resilience::CellStatus::Ok)
-                    throw resilience::CheckpointMismatch(
-                        "resumed cell " + key
-                        + " failed recomputation: " + redo.error);
-                if (resilience::encodeResult(*redo.value) != saved_row)
-                    throw resilience::CheckpointMismatch(
-                        "resumed cell " + key
-                        + " recomputed to a different row "
-                          "(nondeterministic cell or stale "
-                          "checkpoint)");
+            std::optional<Row> row;
+            try {
+                row = decode(saved_row);
+            } catch (const std::exception &e) {
+                GLIDER_WARN("checkpoint " + ckpt->path() + ": cell " + key
+                            + " does not decode, recomputing ("
+                            + e.what() + ")");
             }
-            return out;
+            if (row) {
+                out.status = resilience::CellStatus::Resumed;
+                out.row = std::move(*row);
+                if (verify) {
+                    // Determinism check: the resumed row must match
+                    // the checkpointed row when recomputed.
+                    auto redo = resilience::runCell<Row>(
+                        key, cell, ropts, faults, &pool_.token());
+                    if (redo.status != resilience::CellStatus::Ok)
+                        throw resilience::CheckpointMismatch(
+                            "resumed cell " + key
+                            + " failed recomputation: " + redo.error);
+                    if (encode(*redo.value) != saved_row)
+                        throw resilience::CheckpointMismatch(
+                            "resumed cell " + key
+                            + " recomputed to a different row "
+                              "(nondeterministic cell or stale "
+                              "checkpoint)");
+                }
+                return out;
+            }
         }
-        auto res = resilience::runCell<sim::SingleCoreResult>(
-            key, cell, ropts, faults, &pool_.token());
+        auto res = resilience::runCell<Row>(key, cell, ropts, faults,
+                                            &pool_.token());
         out.attempts = res.attempts;
         out.error = res.error;
         out.status = res.status;
         if (res.status == resilience::CellStatus::Ok) {
             out.row = std::move(*res.value);
             if (ckpt)
-                ckpt->record(key, resilience::encodeResult(out.row));
+                ckpt->record(key, encode(out.row));
         }
         return out;
     }
@@ -524,6 +557,9 @@ class SweepRunner
     std::uint64_t quarantined_ = 0;
     std::uint64_t resumed_ = 0;
 };
+
+/** The simulation-row runner fig11, the ablations and sweep_driver use. */
+using SweepRunner = BasicSweepRunner<>;
 
 /**
  * BenchReport preloaded with the shared harness configuration (trace
@@ -552,13 +588,14 @@ makeReport(const std::string &name)
  * Attach a sweep's harness telemetry to @p report: throughput as an
  * info metric plus the full registry export under "extra".harness.
  */
-inline void
-reportHarness(obs::BenchReport &report, const SweepRunner &sweep)
+template <typename Sweep>
+void
+reportHarness(obs::BenchReport &report, const Sweep &sweep)
 {
     obs::Registry reg;
     sweep.exportMetrics(reg, "harness");
     report.attachRegistry("harness", reg);
-    if (sweep.wallSeconds() > 0.0) {
+    if (sweep.wallSeconds() > 0.0 && sweep.accessesSimulated() > 0) {
         report.metric("harness.accesses_per_sec",
                       static_cast<double>(sweep.accessesSimulated())
                           / sweep.wallSeconds(),
@@ -569,17 +606,22 @@ reportHarness(obs::BenchReport &report, const SweepRunner &sweep)
 /**
  * SweepOptions preloaded for a figure-style sweep: checkpoint path
  * from $GLIDER_CKPT (unset disables checkpointing) and a config
- * fingerprint carrying the trace length, so a checkpoint recorded at
- * one GLIDER_ACCESSES is never replayed into a sweep at another.
+ * fingerprint carrying the trace length plus the value of each further
+ * knob in @p knobs (keyed by its variable name), so a checkpoint
+ * recorded under one setting of a knob the rows depend on is never
+ * replayed into a sweep under another.
  */
-inline SweepRunner::SweepOptions
-sweepOptions(const std::string &sweep_name)
+inline SweepOptions
+sweepOptions(const std::string &sweep_name,
+             std::initializer_list<env::Knob> knobs = {})
 {
-    SweepRunner::SweepOptions opts;
+    SweepOptions opts;
     opts.sweep_name = sweep_name;
     if (env::isSet(env::Knob::Ckpt))
         opts.checkpoint_path = env::str(env::Knob::Ckpt);
     opts.config["accesses"] = obs::json::Value(traceAccesses());
+    for (env::Knob k : knobs)
+        opts.config[env::info(k).name] = obs::json::Value(env::u64(k));
     return opts;
 }
 
@@ -606,9 +648,9 @@ runSpecSweep(const std::string &sweep_name,
  * When several reports view one sweep, @p reads selects each one's
  * cells by key; by default a report reads every cell.
  */
-inline void
-reportResilience(obs::BenchReport &report,
-                 const SweepRunner::SweepOutcome &outcome,
+template <typename SweepOutcome>
+void
+reportResilience(obs::BenchReport &report, const SweepOutcome &outcome,
                  const std::function<bool(const std::string &)> &reads =
                      nullptr)
 {
@@ -621,8 +663,9 @@ reportResilience(obs::BenchReport &report,
 /**
  * Map @p fn over @p items on a worker pool; results come back in item
  * order, so printing them serially reproduces the serial harness's
- * output byte for byte. Used by harnesses whose unit of work is not a
- * (workload x policy) simulation (e.g. fig9's offline training).
+ * output byte for byte. Unlike BasicSweepRunner it neither quarantines
+ * nor checkpoints: a throwing item propagates to the caller, which is
+ * what verify_oracles' all-or-nothing gate needs.
  */
 template <typename Item, typename Fn>
 auto

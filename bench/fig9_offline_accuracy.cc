@@ -5,16 +5,19 @@
  * offline ISVM (k-sparse unordered feature), and the attention-based
  * LSTM, all trained on Belady labels with the 75/25 split of §5.1.
  *
- * Each workload's dataset build + model training is independent, so
- * the harness fans workloads across GLIDER_THREADS workers
- * (bench::parallelMap) and prints the collected rows in workload
- * order — byte-identical to the serial harness.
+ * Each workload's dataset build + model training is independent: every
+ * subset workload and adversarial scenario is one "<workload>/offline"
+ * cell of one checked sweep (GLIDER_THREADS workers, quarantine,
+ * GLIDER_CKPT checkpoint/resume), and the collected rows print in
+ * workload order — byte-identical to a serial harness.
  *
  * Note on dimensions: the paper trains embedding/hidden 128 (Table
  * 5); this harness defaults to GLIDER_LSTM_DIM=32 so the full sweep
  * runs in minutes on a laptop. The orderings are unaffected; export
  * GLIDER_LSTM_DIM=128 to reproduce at paper scale.
  */
+
+#include <array>
 
 #include "bench_common.hh"
 #include "common/stats_util.hh"
@@ -23,15 +26,11 @@ using namespace glider;
 
 namespace {
 
-/** One Figure 9 row: per-model test accuracy (percent). */
-struct Row
-{
-    double majority = 0.0;
-    double hawkeye = 0.0;
-    double perceptron = 0.0;
-    double isvm = 0.0;
-    double lstm = 0.0;
-};
+/** Figure 9's models in column order; a Row holds one test accuracy
+ *  (percent) per model. */
+constexpr std::array<const char *, 5> kModels = {
+    "majority", "hawkeye", "perceptron", "isvm", "lstm"};
+using Row = std::array<double, kModels.size()>;
 
 Row
 trainAndEvaluate(const traces::Trace &trace,
@@ -53,20 +52,70 @@ trainAndEvaluate(const traces::Trace &trace,
     for (int e = 0; e < bench::lstmEpochs(); ++e)
         lstm.trainEpoch(ds);
 
-    Row row;
-    row.majority = 100.0 * offline::majorityBaseline(ds);
-    row.hawkeye = 100.0 * hawkeye.evaluate(ds);
-    row.perceptron = 100.0 * perceptron.evaluate(ds);
-    row.isvm = 100.0 * isvm.evaluate(ds);
-    row.lstm = 100.0 * lstm.evaluate(ds);
-    return row;
+    return {100.0 * offline::majorityBaseline(ds),
+            100.0 * hawkeye.evaluate(ds), 100.0 * perceptron.evaluate(ds),
+            100.0 * isvm.evaluate(ds), 100.0 * lstm.evaluate(ds)};
+}
+
+obs::json::Value
+encodeRow(const Row &row)
+{
+    obs::json::Value v = obs::json::Value::object();
+    for (std::size_t m = 0; m < kModels.size(); ++m)
+        v[kModels[m]] = row[m];
+    return v;
 }
 
 Row
-trainAndEvaluate(const std::string &name,
-                 const offline::LstmConfig &lstm_cfg)
+decodeRow(const obs::json::Value &v)
 {
-    return trainAndEvaluate(bench::buildTrace(name), lstm_cfg);
+    Row row;
+    for (std::size_t m = 0; m < kModels.size(); ++m)
+        row[m] = resilience::rowField(v, kModels[m]).number();
+    return row;
+}
+
+using OfflineSweep = bench::BasicSweepRunner<Row, encodeRow, decodeRow>;
+
+/**
+ * Print one accuracy table — a row per cell of @p names, then the
+ * trained models' averages — and record its metrics under @p prefix.
+ * A quarantined cell prints n/a and is left out of the averages.
+ */
+void
+printTable(obs::BenchReport &report,
+           const OfflineSweep::SweepOutcome &outcome,
+           const std::vector<std::string> &names, const char *label,
+           int width, const std::string &prefix)
+{
+    std::printf("%-*s %9s %10s %12s %12s %10s\n", width, label,
+                "Majority", "Hawkeye", "Perceptron", "OfflineISVM",
+                "LSTM");
+    std::array<std::vector<double>, kModels.size()> acc;
+    for (const auto &name : names) {
+        const auto &cell = outcome.at(name + "/offline");
+        if (!cell.ok()) {
+            std::printf("%-*s %9s (quarantined: %s)\n", width,
+                        name.c_str(), "n/a", cell.error.c_str());
+            continue;
+        }
+        const Row &row = cell.row;
+        for (std::size_t m = 0; m < kModels.size(); ++m) {
+            acc[m].push_back(row[m]);
+            report.metric(prefix + name + "." + kModels[m], row[m], "%",
+                          obs::Direction::Info);
+        }
+        std::printf("%-*s %8.1f%% %9.1f%% %11.1f%% %11.1f%% %9.1f%%\n",
+                    width, name.c_str(), row[0], row[1], row[2], row[3],
+                    row[4]);
+    }
+    std::printf("%-*s %9s %9.1f%% %11.1f%% %11.1f%% %9.1f%%\n", width,
+                "average", "", amean(acc[1]), amean(acc[2]),
+                amean(acc[3]), amean(acc[4]));
+    for (std::size_t m = 1; m < kModels.size(); ++m) { // skip majority
+        report.metric(prefix + "avg." + kModels[m], amean(acc[m]), "%",
+                      obs::Direction::HigherBetter);
+    }
 }
 
 } // namespace
@@ -84,137 +133,44 @@ main()
                 lstm_cfg.embedding, lstm_cfg.hidden,
                 static_cast<double>(lstm_cfg.lr));
 
-    // Each workload's dataset+training cell runs under the
-    // resilience layer: a failing cell is quarantined (row prints
-    // n/a, report marked degraded) instead of aborting the figure.
+    // The scenario cells are the offline counterpart of fig11's
+    // policy-zoo grid: how learnable each scenario kernel's Belady
+    // labels are, per predictor family (traces at
+    // GLIDER_SCENARIO_ACCESSES).
     const auto names = workloads::offlineSubset();
-    const auto fault_plan = resilience::FaultPlan::fromEnv();
-    const auto recovery = resilience::RecoveryOptions::fromEnv();
-    const auto rows = bench::parallelMap(
-        names, [&](const std::string &name) {
-            return resilience::runCell<Row>(
-                name + "/offline",
-                [&](const CancelToken &) {
-                    return trainAndEvaluate(name, lstm_cfg);
-                },
-                recovery, &fault_plan);
-        });
+    const auto scenarios = workloads::scenarioWorkloads();
+    OfflineSweep sweep;
+    auto queueOffline = [&](const std::string &name,
+                            std::uint64_t accesses) {
+        sweep.queueCell(name + "/offline",
+                        [name, accesses, lstm_cfg](const CancelToken &) {
+                            return trainAndEvaluate(
+                                bench::buildTrace(name, accesses),
+                                lstm_cfg);
+                        });
+    };
+    for (const auto &name : names)
+        queueOffline(name, bench::traceAccesses());
+    for (const auto &name : scenarios)
+        queueOffline(name, bench::scenarioAccesses());
+    const auto outcome = sweep.runChecked(bench::sweepOptions(
+        "fig9_offline_accuracy",
+        {env::Knob::LstmDim, env::Knob::Epochs,
+         env::Knob::ScenarioAccesses}));
 
-    std::printf("%-10s %9s %10s %12s %12s %10s\n", "Program",
-                "Majority", "Hawkeye", "Perceptron", "OfflineISVM",
-                "LSTM");
     auto report = bench::makeReport("fig9_offline_accuracy");
     report.config("scenario_accesses",
                   obs::json::Value(bench::scenarioAccesses()));
-    std::vector<double> acc_h, acc_p, acc_i, acc_l;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        if (rows[i].status == resilience::CellStatus::Quarantined) {
-            std::printf("%-10s %9s (quarantined: %s)\n",
-                        names[i].c_str(), "n/a",
-                        rows[i].error.c_str());
-            report.quarantine(names[i] + "/offline", rows[i].error,
-                              rows[i].attempts);
-            continue;
-        }
-        const Row &row = *rows[i].value;
-        acc_h.push_back(row.hawkeye);
-        acc_p.push_back(row.perceptron);
-        acc_i.push_back(row.isvm);
-        acc_l.push_back(row.lstm);
-        report.metric("accuracy_pct." + names[i] + ".majority",
-                      row.majority, "%", obs::Direction::Info);
-        report.metric("accuracy_pct." + names[i] + ".hawkeye",
-                      row.hawkeye, "%", obs::Direction::Info);
-        report.metric("accuracy_pct." + names[i] + ".perceptron",
-                      row.perceptron, "%", obs::Direction::Info);
-        report.metric("accuracy_pct." + names[i] + ".isvm", row.isvm,
-                      "%", obs::Direction::Info);
-        report.metric("accuracy_pct." + names[i] + ".lstm", row.lstm,
-                      "%", obs::Direction::Info);
-        std::printf("%-10s %8.1f%% %9.1f%% %11.1f%% %11.1f%% %9.1f%%\n",
-                    names[i].c_str(), row.majority, row.hawkeye,
-                    row.perceptron, row.isvm, row.lstm);
-        std::fflush(stdout);
-    }
-    std::printf("%-10s %9s %9.1f%% %11.1f%% %11.1f%% %9.1f%%\n",
-                "average", "", amean(acc_h), amean(acc_p), amean(acc_i),
-                amean(acc_l));
-    report.metric("accuracy_pct.avg.hawkeye", amean(acc_h), "%",
-                  obs::Direction::HigherBetter);
-    report.metric("accuracy_pct.avg.perceptron", amean(acc_p), "%",
-                  obs::Direction::HigherBetter);
-    report.metric("accuracy_pct.avg.isvm", amean(acc_i), "%",
-                  obs::Direction::HigherBetter);
-    report.metric("accuracy_pct.avg.lstm", amean(acc_l), "%",
-                  obs::Direction::HigherBetter);
-    // ---- Model x adversarial scenarios ------------------------------
-    // How learnable each scenario kernel's Belady labels are, per
-    // predictor family — the offline counterpart of fig11's
-    // policy-zoo grid (traces at GLIDER_SCENARIO_ACCESSES).
-    const auto scenarios = workloads::scenarioWorkloads();
-    const auto srows = bench::parallelMap(
-        scenarios, [&](const std::string &name) {
-            return resilience::runCell<Row>(
-                name + "/offline",
-                [&](const CancelToken &) {
-                    return trainAndEvaluate(
-                        bench::buildTrace(name,
-                                          bench::scenarioAccesses()),
-                        lstm_cfg);
-                },
-                recovery, &fault_plan);
-        });
-
+    printTable(report, outcome, names, "Program", 10, "accuracy_pct.");
     std::printf("\nModel x adversarial scenarios (offline accuracy)\n");
-    std::printf("%-16s %9s %10s %12s %12s %10s\n", "Scenario",
-                "Majority", "Hawkeye", "Perceptron", "OfflineISVM",
-                "LSTM");
-    std::vector<double> sacc_h, sacc_p, sacc_i, sacc_l;
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-        if (srows[i].status == resilience::CellStatus::Quarantined) {
-            std::printf("%-16s %9s (quarantined: %s)\n",
-                        scenarios[i].c_str(), "n/a",
-                        srows[i].error.c_str());
-            report.quarantine(scenarios[i] + "/offline",
-                              srows[i].error, srows[i].attempts);
-            continue;
-        }
-        const Row &row = *srows[i].value;
-        sacc_h.push_back(row.hawkeye);
-        sacc_p.push_back(row.perceptron);
-        sacc_i.push_back(row.isvm);
-        sacc_l.push_back(row.lstm);
-        report.metric("grid.accuracy_pct." + scenarios[i] + ".majority",
-                      row.majority, "%", obs::Direction::Info);
-        report.metric("grid.accuracy_pct." + scenarios[i] + ".hawkeye",
-                      row.hawkeye, "%", obs::Direction::Info);
-        report.metric("grid.accuracy_pct." + scenarios[i]
-                          + ".perceptron",
-                      row.perceptron, "%", obs::Direction::Info);
-        report.metric("grid.accuracy_pct." + scenarios[i] + ".isvm",
-                      row.isvm, "%", obs::Direction::Info);
-        report.metric("grid.accuracy_pct." + scenarios[i] + ".lstm",
-                      row.lstm, "%", obs::Direction::Info);
-        std::printf("%-16s %8.1f%% %9.1f%% %11.1f%% %11.1f%% %9.1f%%\n",
-                    scenarios[i].c_str(), row.majority, row.hawkeye,
-                    row.perceptron, row.isvm, row.lstm);
-        std::fflush(stdout);
-    }
-    std::printf("%-16s %9s %9.1f%% %11.1f%% %11.1f%% %9.1f%%\n",
-                "average", "", amean(sacc_h), amean(sacc_p),
-                amean(sacc_i), amean(sacc_l));
-    report.metric("grid.accuracy_pct.avg.hawkeye", amean(sacc_h), "%",
-                  obs::Direction::HigherBetter);
-    report.metric("grid.accuracy_pct.avg.perceptron", amean(sacc_p),
-                  "%", obs::Direction::HigherBetter);
-    report.metric("grid.accuracy_pct.avg.isvm", amean(sacc_i), "%",
-                  obs::Direction::HigherBetter);
-    report.metric("grid.accuracy_pct.avg.lstm", amean(sacc_l), "%",
-                  obs::Direction::HigherBetter);
+    printTable(report, outcome, scenarios, "Scenario", 16,
+               "grid.accuracy_pct.");
 
     std::printf("\nShape check (paper): LSTM and offline ISVM are "
                 "within a point or two of each other and clearly above "
                 "Hawkeye\nand the ordered-history Perceptron.\n");
+    bench::reportResilience(report, outcome);
+    bench::reportHarness(report, sweep);
     report.write();
     return report.degraded() ? 2 : 0;
 }

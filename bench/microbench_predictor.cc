@@ -320,8 +320,6 @@ main(int argc, char **argv)
     constexpr double kRatioTolerance = 0.5;
 
     auto report = obs::BenchReport("microbench_predictor");
-    report.config("metrics_enabled",
-                  obs::json::Value(obs::kMetricsEnabled));
     const auto &ns = reporter.nsPerOp();
     for (const auto &[name, ns_op] : ns)
         report.metric("ns_per_op." + name, ns_op, "ns",

@@ -200,8 +200,6 @@ main()
     report.config("accesses", obs::json::Value(accesses));
     report.config("reps",
                   obs::json::Value(static_cast<std::int64_t>(reps)));
-    report.config("metrics_enabled",
-                  obs::json::Value(obs::kMetricsEnabled));
 
     // Tolerances are stamped per metric kind: absolute accesses/sec
     // is machine-dependent, so the committed baseline gates it only

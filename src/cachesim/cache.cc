@@ -10,8 +10,7 @@ namespace sim {
 Cache::Cache(const CacheConfig &config,
              std::unique_ptr<ReplacementPolicy> policy, unsigned cores)
     : config_(config), policy_(std::move(policy)),
-      num_sets_(config.sets()), cores_(cores),
-      occ_at_miss_(0.0, config.ways + 1.0, config.ways + 1)
+      num_sets_(config.sets()), cores_(cores)
 {
     GLIDER_ASSERT(policy_ != nullptr);
     if (num_sets_ == 0) {
@@ -60,14 +59,6 @@ Cache::access(std::uint8_t core, std::uint64_t pc,
     }
 
     ++stats_.misses;
-#if defined(GLIDER_METRICS) && GLIDER_METRICS
-    {
-        std::uint32_t occupied = 0;
-        for (std::uint32_t way = 0; way < config_.ways; ++way)
-            occupied += base[way].valid() ? 1 : 0;
-        occ_at_miss_.record(static_cast<double>(occupied));
-    }
-#endif
     std::uint32_t victim =
         policy_->victimWay(acc, SetView{base, config_.ways});
     if (victim >= config_.ways) {
@@ -94,16 +85,6 @@ Cache::exportMetrics(obs::Registry &registry,
     registry.setCounter(prefix + ".bypasses", stats_.bypasses);
     registry.setCounter(prefix + ".evictions", stats_.evictions);
     registry.setGauge(prefix + ".miss_rate", stats_.missRate());
-#if defined(GLIDER_METRICS) && GLIDER_METRICS
-    // Merge assumes a fresh registry: exporting the same cache twice
-    // into one registry would double the histogram's samples.
-    if (occ_at_miss_.count() > 0) {
-        obs::Histogram &h = registry.histogram(
-            prefix + ".occupancy_at_miss", occ_at_miss_.lo(),
-            occ_at_miss_.hi(), occ_at_miss_.buckets());
-        h.merge(occ_at_miss_);
-    }
-#endif
 }
 
 bool

@@ -80,9 +80,8 @@ class Cache
     void clearStats() { stats_ = CacheStats{}; }
 
     /**
-     * Snapshot stats (and, in GLIDER_METRICS builds, the occupancy-
-     * at-miss histogram) into @p registry under @p prefix. Safe to
-     * call repeatedly; counters are overwritten, not accumulated.
+     * Snapshot stats into @p registry under @p prefix. Safe to call
+     * repeatedly; counters are overwritten, not accumulated.
      */
     void exportMetrics(obs::Registry &registry,
                        const std::string &prefix) const;
@@ -99,8 +98,6 @@ class Cache
     unsigned cores_;
     std::vector<LineView> lines_; //!< sets x ways, row-major
     CacheStats stats_;
-    //! Valid lines in the set at each miss; no-op unless GLIDER_METRICS.
-    obs::HotHistogram occ_at_miss_;
 };
 
 } // namespace sim

@@ -15,7 +15,7 @@
 
 namespace glider {
 
-/** Incremental accumulator for count / mean / min / max / stddev. */
+/** Incremental accumulator for count / mean / min / max / variance. */
 class Summary
 {
   public:
@@ -44,8 +44,6 @@ class Summary
     {
         return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
     }
-
-    double stddev() const { return std::sqrt(variance()); }
 
   private:
     std::size_t n_ = 0;

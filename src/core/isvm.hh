@@ -231,12 +231,6 @@ class IsvmView
                             threshold);
     }
 
-    bool
-    trainCounts(const SlotCounts &counts, bool positive, int threshold)
-    {
-        return isvmTrainRow(w_, counts, positive, threshold);
-    }
-
     /** Unconditional saturating step (threshold already checked). */
     void
     applyCounts(const SlotCounts &counts, bool positive)

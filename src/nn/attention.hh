@@ -35,7 +35,6 @@ class ScaledDotAttention
     explicit ScaledDotAttention(float scale = 1.0f) : scale_(scale) {}
 
     float scale() const { return scale_; }
-    void setScale(float s) { scale_ = s; }
 
     /**
      * Compute the context vector for target @p h_t over @p sources.

@@ -61,7 +61,6 @@ class Linear
     {
     }
 
-    std::size_t inDim() const { return w_.value.cols(); }
     std::size_t outDim() const { return w_.value.rows(); }
 
     /** y (out) = W x + b. @p y is overwritten. */
@@ -110,7 +109,6 @@ class LstmCell
   public:
     LstmCell(std::size_t in_dim, std::size_t hidden, Rng &rng);
 
-    std::size_t inDim() const { return in_dim_; }
     std::size_t hidden() const { return hidden_; }
 
     /**

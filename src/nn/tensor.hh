@@ -73,12 +73,6 @@ class Tensor
 
     void zero() { std::fill(data_.begin(), data_.end(), 0.0f); }
 
-    bool
-    sameShape(const Tensor &o) const
-    {
-        return rows_ == o.rows_ && cols_ == o.cols_;
-    }
-
   private:
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;

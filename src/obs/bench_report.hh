@@ -83,9 +83,6 @@ class BenchReport
     void quarantine(const std::string &cell, const std::string &error,
                     int attempts);
 
-    /** Explicitly set the degraded flag (quarantine() implies it). */
-    void markDegraded(bool degraded) { degraded_ = degraded; }
-
     bool degraded() const { return degraded_; }
 
     /** Attach a free-form document section under "extra". */

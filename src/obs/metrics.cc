@@ -252,17 +252,6 @@ Registry::has(const std::string &name) const
     return entries_.count(name) != 0;
 }
 
-std::vector<std::string>
-Registry::names() const
-{
-    LockGuard lock(mutex_);
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const auto &[name, entry] : entries_)
-        out.push_back(name);
-    return out;
-}
-
 json::Value
 Registry::toJson() const
 {

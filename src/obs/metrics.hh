@@ -1,26 +1,19 @@
 /**
  * @file
  * Lightweight metrics: Counter, Gauge, Histogram (fixed-bucket with
- * percentiles), ScopedTimer, and a hierarchical Registry with a
- * schema-versioned JSON export.
+ * percentiles), and a hierarchical Registry with a schema-versioned
+ * JSON export.
  *
  * All metric types are safe for concurrent recording (relaxed
  * atomics), so harness workers can hammer a shared registry. Reads
  * taken while writers are active are approximate snapshots, which is
  * the usual contract for telemetry.
- *
- * Hot-path instrumentation uses the HotCounter/HotHistogram aliases:
- * with -DGLIDER_METRICS=ON they are the real metric types, in default
- * builds they are empty no-op structs that the optimizer deletes —
- * the same compile-time pattern as GLIDER_CHECKED, so the simulator's
- * per-access cost is untouched unless telemetry is asked for.
  */
 
 #ifndef GLIDER_OBS_METRICS_HH
 #define GLIDER_OBS_METRICS_HH
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -181,7 +174,6 @@ class Registry
     }
 
     bool has(const std::string &name) const;
-    std::vector<std::string> names() const;
 
     /**
      * Schema-versioned export:
@@ -205,83 +197,6 @@ class Registry
     mutable Mutex mutex_;
     std::map<std::string, Entry> entries_ GLIDER_GUARDED_BY(mutex_);
 };
-
-/**
- * Records the wall time of a scope into a Histogram (scaled seconds;
- * the default scale 1e6 records microseconds) and/or accumulates
- * nanoseconds into a Counter. stop() ends timing early and returns
- * elapsed seconds; the destructor is then a no-op.
- */
-class ScopedTimer
-{
-  public:
-    explicit ScopedTimer(Histogram &hist, double scale = 1e6)
-        : hist_(&hist), scale_(scale), start_(now())
-    {
-    }
-
-    explicit ScopedTimer(Counter &total_ns)
-        : total_ns_(&total_ns), start_(now())
-    {
-    }
-
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-    ~ScopedTimer() { stop(); }
-
-    double
-    stop()
-    {
-        if (done_)
-            return elapsed_;
-        done_ = true;
-        elapsed_ = std::chrono::duration<double>(now() - start_).count();
-        if (hist_)
-            hist_->record(elapsed_ * scale_);
-        if (total_ns_)
-            total_ns_->inc(static_cast<std::uint64_t>(elapsed_ * 1e9));
-        return elapsed_;
-    }
-
-  private:
-    static std::chrono::steady_clock::time_point
-    now()
-    {
-        return std::chrono::steady_clock::now();
-    }
-
-    Histogram *hist_ = nullptr;
-    Counter *total_ns_ = nullptr;
-    double scale_ = 1.0;
-    std::chrono::steady_clock::time_point start_;
-    bool done_ = false;
-    double elapsed_ = 0.0;
-};
-
-#if defined(GLIDER_METRICS) && GLIDER_METRICS
-inline constexpr bool kMetricsEnabled = true;
-using HotCounter = Counter;
-using HotHistogram = Histogram;
-#else
-inline constexpr bool kMetricsEnabled = false;
-
-/** No-op stand-in for Counter on unmetered hot paths. */
-struct HotCounter
-{
-    void inc(std::uint64_t = 1) {}
-    std::uint64_t value() const { return 0; }
-    void set(std::uint64_t) {}
-};
-
-/** No-op stand-in for Histogram on unmetered hot paths. */
-struct HotHistogram
-{
-    HotHistogram(double, double, std::size_t) {}
-    void record(double) {}
-    std::uint64_t count() const { return 0; }
-};
-#endif
 
 } // namespace obs
 } // namespace glider

@@ -35,38 +35,40 @@ encodeResult(const sim::SingleCoreResult &row)
     return v;
 }
 
+const json::Value &
+rowField(const json::Value &row, const char *key)
+{
+    const json::Value *f = row.find(key);
+    if (!f)
+        throw std::runtime_error(std::string("row lacks ") + key);
+    return *f;
+}
+
 sim::SingleCoreResult
 decodeResult(const json::Value &v)
 {
     // Every accessor throws std::runtime_error naming what is wrong,
     // so a damaged row is rejected whole instead of half-decoded.
-    auto field = [](const json::Value &obj,
-                    const char *key) -> const json::Value & {
-        const json::Value *f = obj.find(key);
-        if (!f)
-            throw std::runtime_error(std::string("row lacks ") + key);
-        return *f;
-    };
-    auto u64 = [&](const json::Value &obj, const char *key) {
-        std::int64_t n = field(obj, key).integer();
+    auto u64 = [](const json::Value &obj, const char *key) {
+        std::int64_t n = rowField(obj, key).integer();
         if (n < 0)
             throw std::runtime_error(std::string("negative ") + key);
         return static_cast<std::uint64_t>(n);
     };
     sim::SingleCoreResult row;
-    row.workload = field(v, "workload").str();
-    row.policy = field(v, "policy").str();
+    row.workload = rowField(v, "workload").str();
+    row.policy = rowField(v, "policy").str();
     row.instructions = u64(v, "instructions");
-    row.cycles = field(v, "cycles").number();
-    row.ipc = field(v, "ipc").number();
+    row.cycles = rowField(v, "cycles").number();
+    row.ipc = rowField(v, "ipc").number();
     row.accesses_simulated = u64(v, "accesses_simulated");
-    const json::Value &llc = field(v, "llc");
+    const json::Value &llc = rowField(v, "llc");
     row.llc.accesses = u64(llc, "accesses");
     row.llc.hits = u64(llc, "hits");
     row.llc.misses = u64(llc, "misses");
     row.llc.bypasses = u64(llc, "bypasses");
     row.llc.evictions = u64(llc, "evictions");
-    const json::Value &predictor = field(v, "predictor");
+    const json::Value &predictor = rowField(v, "predictor");
     row.predictor.events = u64(predictor, "events");
     row.predictor.correct = u64(predictor, "correct");
     return row;
@@ -110,6 +112,12 @@ SweepCheckpoint::load()
                     + ": wrong schema, starting fresh");
         return 0;
     }
+    const json::Value *sweep = doc.find("sweep");
+    if (!sweep || !sweep->isString() || sweep->str() != sweep_) {
+        GLIDER_WARN("checkpoint " + path_ + ": written by another sweep "
+                    "(not " + sweep_ + "), starting fresh");
+        return 0;
+    }
     const json::Value *config = doc.find("config");
     if (!config || *config != config_) {
         GLIDER_WARN("checkpoint " + path_
@@ -123,16 +131,8 @@ SweepCheckpoint::load()
 
     std::lock_guard<std::mutex> lock(mutex_);
     rows_.clear();
-    for (const auto &[key, row] : cells->members()) {
-        // A row that does not decode is dropped, so its cell reruns.
-        try {
-            decodeResult(row);
-            rows_[key] = row;
-        } catch (const std::exception &e) {
-            GLIDER_WARN("checkpoint " + path_ + ": dropping cell " + key
-                        + " (" + e.what() + ")");
-        }
-    }
+    for (const auto &[key, row] : cells->members())
+        rows_[key] = row;
     return rows_.size();
 }
 

@@ -13,13 +13,17 @@
  *   "cells": { "<cell key>": { <encoded row> }, ... }
  * }
  *
+ * Rows are opaque JSON here; the runner that resumes a row decodes it
+ * and recomputes any row that does not decode.
+ *
  * Byte-identity contract: cells serialize sorted by key (not in
  * completion order), rows exclude wall-clock fields, and obs::json
  * prints doubles in shortest round-trippable form — so the checkpoint
  * written by an interrupted-then-resumed sweep is byte-identical to
- * one from an uninterrupted run. A config fingerprint mismatch (e.g.
- * a different GLIDER_ACCESSES) discards the file rather than mixing
- * rows computed under different settings.
+ * one from an uninterrupted run. A sweep-name or config fingerprint
+ * mismatch (e.g. another harness's file, or a different
+ * GLIDER_ACCESSES) discards the file rather than mixing rows computed
+ * by another sweep or under different settings.
  */
 
 #ifndef GLIDER_RESILIENCE_CHECKPOINT_HH
@@ -57,6 +61,11 @@ obs::json::Value encodeResult(const sim::SingleCoreResult &row);
  *  @throws std::runtime_error on a missing, mistyped or negative field. */
 sim::SingleCoreResult decodeResult(const obs::json::Value &v);
 
+/** Member @p key of encoded row @p row, for row decoders.
+ *  @throws std::runtime_error when @p row lacks it. */
+const obs::json::Value &rowField(const obs::json::Value &row,
+                                 const char *key);
+
 /** One sweep's checkpoint file. Thread-safe; record() persists. */
 class SweepCheckpoint
 {
@@ -74,10 +83,10 @@ class SweepCheckpoint
 
     /**
      * Read rows from an existing file. Returns the number of rows
-     * recovered; a missing file, wrong schema, or config-fingerprint
-     * mismatch recovers nothing (the stale file is superseded on the
-     * next record()). A row that decodeResult rejects is dropped with
-     * a warning, so its cell is recomputed.
+     * recovered; a missing file, wrong schema, another sweep's name,
+     * or a config-fingerprint mismatch recovers nothing (the stale
+     * file is superseded on the next record()). Rows are not decoded
+     * here; the runner recomputes any it cannot decode.
      */
     std::size_t load();
 

@@ -7,7 +7,6 @@
 #include "advice_engine.hh"
 
 #include "common/env_registry.hh"
-#include "common/logging.hh"
 
 namespace glider {
 namespace serve {
@@ -268,13 +267,6 @@ AdviceEngine::exportMetrics(obs::Registry &registry,
         registry.setGauge(prefix + ".served_per_busy_sec",
                           static_cast<double>(s.served) * 1e9
                               / static_cast<double>(s.busy_ns));
-}
-
-const TenantServer &
-AdviceEngine::server(std::size_t shard) const
-{
-    GLIDER_ASSERT(shard < shards_.size());
-    return shards_[shard]->server;
 }
 
 } // namespace serve

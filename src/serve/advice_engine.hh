@@ -162,8 +162,6 @@ class AdviceEngine
 
     const EngineConfig &config() const { return config_; }
 
-    /** Shard-local tenant servers (tests; engine must be idle). */
-    const TenantServer &server(std::size_t shard) const;
 
   private:
     /** Hash bucket of the per-batch tenant-grouping table. */

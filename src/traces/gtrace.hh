@@ -172,12 +172,6 @@ class StreamingTrace
     std::uint64_t size() const { return total_records_; }
     std::size_t chunkCount() const { return chunks_.size(); }
 
-    /** Records in chunk @p idx. */
-    std::uint32_t chunkRecords(std::size_t idx) const
-    {
-        return chunks_[idx].records;
-    }
-
     /** Largest chunk record count — the decode-buffer capacity. */
     std::uint32_t maxChunkRecords() const { return max_chunk_records_; }
 

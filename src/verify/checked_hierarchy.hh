@@ -57,7 +57,6 @@ class CheckedHierarchy
     void check() const;
 
     sim::Hierarchy &hierarchy() { return *hier_; }
-    const CheckedPolicy &llcChecker() const { return *checker_; }
 
   private:
     static void checkCacheCounters(const sim::Cache &cache,

@@ -2,15 +2,17 @@
  * @file
  * Tests for src/resilience and the checked SweepRunner: fault-plan
  * parsing, per-cell containment/retry/deadline semantics, cooperative
- * simulator cancellation, checkpoint encode/decode and byte-identity,
- * and checkpoint resume (including the determinism recomputation
- * check against tampered rows).
+ * simulator cancellation, checkpoint encode/decode, byte-identity and
+ * keying (sweep name, config fingerprint), and checkpoint resume
+ * (including the determinism recomputation check against tampered
+ * rows, and recomputation of rows that do not decode).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -248,6 +250,27 @@ TEST(Checkpoint, ConfigFingerprintMismatchDiscards)
     std::remove(path.c_str());
 }
 
+TEST(Checkpoint, OtherSweepNameStartsFresh)
+{
+    // ablation_insertion and ablation_threshold fingerprint the same
+    // knobs, so only the stamped sweep name tells their files apart.
+    const std::string path = tempPath("ckpt_sweep_name.json");
+    std::remove(path.c_str());
+    obs::json::Value config = obs::json::Value::object();
+    config["accesses"] =
+        obs::json::Value(static_cast<std::uint64_t>(1000));
+    {
+        SweepCheckpoint ckpt(path, "ablation_insertion", config);
+        ckpt.record("a/LRU", encodeResult(makeRow("a", 1.0)));
+    }
+    SweepCheckpoint other(path, "ablation_threshold", config);
+    EXPECT_EQ(other.load(), 0u);
+    EXPECT_EQ(other.find("a/LRU"), nullptr);
+    SweepCheckpoint same(path, "ablation_insertion", config);
+    EXPECT_EQ(same.load(), 1u);
+    std::remove(path.c_str());
+}
+
 TEST(Checkpoint, FileBytesIndependentOfRecordOrder)
 {
     const std::string path_ab = tempPath("ckpt_ab.json");
@@ -307,6 +330,47 @@ TEST(SweepRunner, FaultQuarantinesOnlyTargetCell)
     EXPECT_EQ(outcome.cells[2].row.workload, "good2");
     EXPECT_EQ(outcome.cells[1].status, CellStatus::Quarantined);
     EXPECT_NE(outcome.cells[1].error.find("bad"), std::string::npos);
+}
+
+TEST(SweepRunner, DuplicateKeyThrows)
+{
+    bench::SweepRunner sweep(1);
+    auto cell = [](const CancelToken &) { return makeRow("a", 1.0); };
+    sweep.queueCell("a/LRU", cell);
+    EXPECT_THROW(sweep.queueCell("a/LRU", cell), std::invalid_argument);
+    EXPECT_EQ(sweep.queuedCells(), 1u);
+}
+
+TEST(SweepRunner, Fig13CheckpointKeyedOnMixAccesses)
+{
+    // fig13's mix and solo cells under fig13's fingerprint, which
+    // covers the per-core quota GLIDER_MIX_ACCESSES.
+    const std::string path = tempPath("sweep_fig13.json");
+    std::remove(path.c_str());
+    std::atomic<int> invocations{0};
+    auto sweepAt = [&](const char *mix_accesses) {
+        ::setenv("GLIDER_MIX_ACCESSES", mix_accesses, 1);
+        bench::SweepRunner sweep(2);
+        for (const std::string key : {"mix0/LRU", "solo/a/LRU"}) {
+            sweep.queueCell(key, [key, &invocations](const CancelToken &) {
+                ++invocations;
+                return makeRow(key, 0.75);
+            });
+        }
+        auto opts = hermeticOptions();
+        opts.config = bench::sweepOptions("fig13_multicore",
+                                          {env::Knob::MixAccesses})
+                          .config;
+        opts.checkpoint_path = path;
+        ::unsetenv("GLIDER_MIX_ACCESSES");
+        return sweep.runChecked(opts).resumed;
+    };
+    EXPECT_EQ(sweepAt("1000"), 0u);
+    EXPECT_EQ(sweepAt("1000"), 2u);
+    // Another per-core quota recovers nothing: every cell reruns.
+    EXPECT_EQ(sweepAt("2000"), 0u);
+    EXPECT_EQ(invocations.load(), 4);
+    std::remove(path.c_str());
 }
 
 TEST(SweepRunner, ResumeSkipsCompletedCellsAndConverges)
@@ -437,7 +501,10 @@ TEST(Checkpoint, TruncatedRowIsDroppedAndRecomputed)
         return sweep.runChecked(opts);
     };
     const auto resumed = run(path);
-    EXPECT_EQ(resumed.resumed, 2u); // b/LRU was dropped and recomputed
+    EXPECT_EQ(resumed.resumed, 2u); // b/LRU did not decode: recomputed
+    SweepCheckpoint repaired(path, "unit", obs::json::Value::object());
+    ASSERT_EQ(repaired.load(), 3u);
+    EXPECT_EQ(decodeResult(*repaired.find("b/LRU")).workload, "b/LRU");
     const auto fresh = run("");
     for (std::size_t i = 0; i < keys.size(); ++i) {
         EXPECT_EQ(encodeResult(resumed.cells[i].row).dump(),

@@ -96,6 +96,9 @@ knownSafeCall(const std::string &name)
         "mmap", "munmap", "madvise", "msync", "sysconf", "ftruncate",
         "fsync", "pread", "pwrite", "read", "write", "open", "close",
         "lseek", "fstat",
+        // <chrono> clock reads (steady_clock::now is noexcept and
+        // reads the clock without touching the heap)
+        "now",
         // <algorithm>/<utility> via ADL or using
         "min", "max", "clamp", "move", "swap", "forward", "get",
         "exchange", "distance", "advance", "fill", "fill_n", "copy",

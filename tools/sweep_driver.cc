@@ -178,14 +178,29 @@ shardCkptPath(const std::string &base, int shard)
     return base + ".shard" + std::to_string(shard) + ".json";
 }
 
-/** Keys not yet in @p merged, in key-list order. */
+/** @p key's row in @p ckpt, or nullptr when absent or undecodable:
+ *  a damaged row counts as missing, so its cell reruns. */
+const obs::json::Value *
+validRow(const resilience::SweepCheckpoint &ckpt, const std::string &key)
+{
+    const obs::json::Value *row = ckpt.find(key);
+    try {
+        if (row)
+            resilience::decodeResult(*row);
+        return row;
+    } catch (const std::exception &) {
+        return nullptr;
+    }
+}
+
+/** Keys with no valid row in @p merged, in key-list order. */
 std::vector<std::string>
 missingKeys(const std::vector<std::string> &keys,
             const resilience::SweepCheckpoint &merged)
 {
     std::vector<std::string> missing;
     for (const auto &k : keys) {
-        if (!merged.find(k))
+        if (!validRow(merged, k))
             missing.push_back(k);
     }
     return missing;
@@ -289,8 +304,8 @@ mergeShards(const Options &opt,
         if (shard.load() == 0)
             continue;
         for (const auto &k : wanted) {
-            const obs::json::Value *row = shard.find(k);
-            if (row && !merged.find(k))
+            const obs::json::Value *row = validRow(shard, k);
+            if (row && !validRow(merged, k))
                 merged.record(k, *row);
         }
     }
@@ -302,7 +317,7 @@ printReport(const std::vector<std::string> &keys,
             const resilience::SweepCheckpoint &merged)
 {
     for (const auto &k : keys) {
-        const obs::json::Value *saved = merged.find(k);
+        const obs::json::Value *saved = validRow(merged, k);
         if (!saved)
             continue;
         sim::SingleCoreResult row = resilience::decodeResult(*saved);
