@@ -210,6 +210,73 @@ capDataset(offline::OfflineDataset &ds, std::size_t max_accesses)
     }
 }
 
+/**
+ * One cell's row of the offline sweep (fig9_offline_accuracy): only the
+ * view-ready numbers its views read, never raw attention records; a
+ * field no view of the cell reads stays empty. Every field is a list of
+ * doubles, so the heatmap's floats and the PCs (all below 2^53)
+ * round-trip bit-exactly through the checkpoint.
+ */
+struct OfflineRow
+{
+    std::vector<double> epochs;   //!< training epochs before each read
+    std::vector<double> accuracy; //!< test accuracy (%) after epochs[i]
+    std::vector<double> shuffled; //!< Fig 6: {accuracy (%), shuffled}
+    std::vector<double> cdf;      //!< Fig 4: attention-weight CDF points
+    std::vector<double> captured; //!< Fig 5: {attention records captured}
+    /** Fig 5 (b): per target row, its weights on the last source
+     *  offsets, rows concatenated. */
+    std::vector<double> heatmap;
+    std::vector<double> offset_means; //!< Fig 5 (a): mean weight per offset
+    /** Table 4: per target {PC, anchor PC, accuracy (%), 1 when the
+     *  anchor is the IFG caller}, targets concatenated. */
+    std::vector<double> targets;
+    std::vector<double> callers; //!< Table 4: ground-truth caller PCs
+};
+
+/** OfflineRow's fields under their encoded names. */
+inline constexpr std::pair<const char *, std::vector<double> OfflineRow::*>
+    kOfflineRowFields[] = {
+        {"epochs", &OfflineRow::epochs},
+        {"accuracy", &OfflineRow::accuracy},
+        {"shuffled", &OfflineRow::shuffled},
+        {"cdf", &OfflineRow::cdf},
+        {"captured", &OfflineRow::captured},
+        {"heatmap", &OfflineRow::heatmap},
+        {"offset_means", &OfflineRow::offset_means},
+        {"targets", &OfflineRow::targets},
+        {"callers", &OfflineRow::callers}};
+
+/** Encode an offline row: one array of numbers per field. */
+inline obs::json::Value
+encodeOfflineRow(const OfflineRow &row)
+{
+    obs::json::Value v = obs::json::Value::object();
+    for (const auto &[name, field] : kOfflineRowFields) {
+        obs::json::Value xs = obs::json::Value::array();
+        for (double x : row.*field)
+            xs.push(obs::json::Value(x));
+        v[name] = std::move(xs);
+    }
+    return v;
+}
+
+/** Inverse of encodeOfflineRow.
+ *  @throws std::runtime_error on a missing or mistyped field. */
+inline OfflineRow
+decodeOfflineRow(const obs::json::Value &v)
+{
+    OfflineRow row;
+    for (const auto &[name, field] : kOfflineRowFields) {
+        const obs::json::Value &xs = resilience::rowField(v, name);
+        for (std::size_t i = 0; i < xs.size(); ++i)
+            (row.*field).push_back(xs.at(i).number());
+    }
+    if (row.epochs.size() != row.accuracy.size())
+        throw std::runtime_error("epochs and accuracy differ in length");
+    return row;
+}
+
 /** Knobs for BasicSweepRunner::runChecked(). */
 struct SweepOptions
 {
@@ -363,9 +430,9 @@ class BasicSweepRunner
      * (including verify::InvariantViolation) are caught at the cell
      * boundary, retried up to the recovery budget, and recorded as
      * Quarantined on exhaustion — sibling cells always complete.
-     * Completed rows are persisted to the checkpoint as they finish
-     * (worker-side), so even a SIGKILL mid-sweep loses only in-flight
-     * cells.
+     * Completed rows are appended to the checkpoint's journal as they
+     * finish (worker-side), so even a SIGKILL mid-sweep loses only
+     * in-flight cells; the sorted file is written once, at the end.
      */
     SweepOutcome
     runChecked(const SweepOptions &opts)
@@ -411,6 +478,8 @@ class BasicSweepRunner
         outcome.cells.reserve(futures.size());
         for (auto &f : futures)
             outcome.cells.push_back(f.get());
+        if (ckpt)
+            ckpt->finish(); // the journal becomes the sorted file
         wall_seconds_ += std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();

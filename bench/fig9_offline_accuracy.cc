@@ -1,121 +1,821 @@
 /**
  * @file
- * Figure 9 (+Table 5): offline predictor accuracy on the 6-benchmark
- * analysis subset — Hawkeye counters, ordered-history Perceptron,
- * offline ISVM (k-sparse unordered feature), and the attention-based
- * LSTM, all trained on Belady labels with the 75/25 split of §5.1.
+ * The one offline sweep. Every model the paper's offline figures train
+ * is one keyed cell of one checked sweep (GLIDER_THREADS workers,
+ * quarantine, GLIDER_CKPT checkpoint/resume), and the binary prints
+ * Figure 9 (+Table 5), then the Figure 4, 5, 6, 14, 15 and Table 4
+ * views of those rows, each writing its own BENCH_<figure>.json.
  *
- * Each workload's dataset build + model training is independent: every
- * subset workload and adversarial scenario is one "<workload>/offline"
- * cell of one checked sweep (GLIDER_THREADS workers, quarantine,
- * GLIDER_CKPT checkpoint/resume), and the collected rows print in
- * workload order — byte-identical to a serial harness.
+ * A cell's key names its workload, model and dataset cap, e.g.
+ * "omnetpp/LSTM-seq30-scale3-cap100000". A model several views read is
+ * one cell: Figure 5's model is Figure 4's scale-3 model, Figure 6's
+ * omnetpp model is Figure 4's scale-1 model, and Figure 14's seq-30
+ * LSTM, k=5 ISVM and h=3 Perceptron are Figure 15's curve cells.
+ * Evaluation leaves a model unchanged, so a cell trains to the last
+ * epoch any view reads and reads the earlier ones on the way.
  *
- * Note on dimensions: the paper trains embedding/hidden 128 (Table
- * 5); this harness defaults to GLIDER_LSTM_DIM=32 so the full sweep
- * runs in minutes on a laptop. The orderings are unaffected; export
- * GLIDER_LSTM_DIM=128 to reproduce at paper scale.
+ * The paper trains embedding/hidden 128 (Table 5); GLIDER_LSTM_DIM
+ * defaults to 32 so the sweep runs in minutes. The orderings are
+ * unaffected; export GLIDER_LSTM_DIM=128 for the paper's scale.
  */
 
+#include <algorithm>
 #include <array>
+#include <mutex>
+#include <optional>
+#include <set>
 
 #include "bench_common.hh"
 #include "common/stats_util.hh"
+#include "workloads/scheduler_kernel.hh"
 
 using namespace glider;
+using bench::OfflineRow;
 
 namespace {
 
-/** Figure 9's models in column order; a Row holds one test accuracy
- *  (percent) per model. */
-constexpr std::array<const char *, 5> kModels = {
-    "majority", "hawkeye", "perceptron", "isvm", "lstm"};
-using Row = std::array<double, kModels.size()>;
+/** Table 4's trace: the omnetpp-like scheduler, outside the registry. */
+const std::string kTable4Workload = "omnetpp-t4";
+/** Figure 4 reads the attention weights' CDF at these weights. */
+constexpr std::array<double, 7> kCdfThresholds = {0.01, 0.05, 0.1, 0.2,
+                                                  0.4,  0.6,  0.8};
+constexpr std::size_t kWindow = 20; //!< Figure 5: offsets -20..-1
+constexpr int kSimpleEpochs = 3;    //!< Hawkeye, Perceptron, ISVM epochs
 
-Row
-trainAndEvaluate(const traces::Trace &trace,
-                 const offline::LstmConfig &lstm_cfg)
+/** Training data: @c workload's trace at @c accesses, its labelled
+ *  LLC stream capped at @c cap accesses. */
+struct Data
 {
-    auto ds = offline::buildDataset(trace);
-    bench::capDataset(ds, 150'000);
+    std::string workload;
+    std::uint64_t accesses;
+    std::size_t cap;
+};
 
-    offline::OfflineHawkeye hawkeye(ds.vocab());
-    offline::OfflinePerceptron perceptron(ds.vocab(), 3, 0.05f);
-    offline::OfflineIsvm isvm(ds.vocab(), 5, 0.1f);
-    offline::AttentionLstmModel lstm(ds.vocab(), lstm_cfg);
+enum class Kind { Majority, Hawkeye, Perceptron, Isvm, Lstm };
 
-    for (int e = 0; e < 3; ++e) {
-        hawkeye.trainEpoch(ds);
-        perceptron.trainEpoch(ds);
-        isvm.trainEpoch(ds);
+/** One distinct trained model; key() names its cell. */
+struct Model
+{
+    Data data;
+    Kind kind;
+    std::size_t param = 0; //!< Perceptron history, ISVM k or LSTM N
+    int scale = 1;         //!< LSTM attention scaling factor
+
+    std::string
+    key() const
+    {
+        static const char *const kNames[] = {
+            "Majority", "Hawkeye", "Perceptron-h", "ISVM-k", "LSTM-seq"};
+        std::string name = kNames[static_cast<int>(kind)];
+        if (kind == Kind::Lstm)
+            name += std::to_string(2 * param) + "-scale"
+                + std::to_string(scale);
+        else if (param)
+            name += std::to_string(param);
+        return data.workload + "/" + name + "-cap"
+            + std::to_string(data.cap);
     }
-    for (int e = 0; e < bench::lstmEpochs(); ++e)
-        lstm.trainEpoch(ds);
+};
 
-    return {100.0 * offline::majorityBaseline(ds),
-            100.0 * hawkeye.evaluate(ds), 100.0 * perceptron.evaluate(ds),
-            100.0 * isvm.evaluate(ds), 100.0 * lstm.evaluate(ds)};
+Model perceptron(const Data &d, std::size_t h = 3)
+{
+    return {d, Kind::Perceptron, h};
+}
+Model isvm(const Data &d, std::size_t k = 5) { return {d, Kind::Isvm, k}; }
+Model lstm(const Data &d, int scale = 1, std::size_t n = 15)
+{
+    return {d, Kind::Lstm, n, scale};
 }
 
-obs::json::Value
-encodeRow(const Row &row)
+/** Analyses a view reads of a trained LSTM (or, kTargets, Hawkeye). */
+enum Analysis : unsigned {
+    kShuffled = 1, //!< Figure 6
+    kCdf = 2,      //!< Figure 4
+    kHeatmap = 4,  //!< Figure 5
+    kTargets = 8,  //!< Table 4
+};
+
+/** What the views read of one cell. The analyses read the model as
+ *  trained for its last epoch read. */
+struct Reads
 {
-    obs::json::Value v = obs::json::Value::object();
-    for (std::size_t m = 0; m < kModels.size(); ++m)
-        v[kModels[m]] = row[m];
-    return v;
+    std::set<int> epochs; //!< test accuracy after this many epochs
+    unsigned analyses = 0;
+};
+
+/** A dataset and, for Table 4's trace, the kernel's ground truth. */
+struct Source
+{
+    offline::OfflineDataset ds;
+    std::vector<std::uint64_t> targets; //!< the scheduleAt() target PCs
+    std::uint64_t anchor = 0;           //!< the IFG anchor PC
+    std::vector<std::uint64_t> callers; //!< the six caller-marker PCs
+};
+
+/** @p d's source, built once per process and shared read-only by every
+ *  cell that trains on it. */
+const Source &
+source(const Data &d)
+{
+    static std::mutex mutex;
+    static std::map<std::string, std::pair<std::once_flag, Source>> memo;
+    std::unique_lock<std::mutex> lock(mutex);
+    auto &slot = memo[d.workload + "-cap" + std::to_string(d.cap)];
+    lock.unlock();
+    std::call_once(slot.first, [&] {
+        Source &src = slot.second;
+        if (d.workload != kTable4Workload) {
+            src.ds = offline::buildDataset(
+                bench::buildTrace(d.workload, d.accesses));
+        } else {
+            workloads::SchedulerKernel::Params p;
+            p.name = kTable4Workload;
+            p.kernel_id = 12; // omnetpp's registry slot: same PC namespace
+            p.seed = 0xC0FFEEull + 12 * 7919;
+            p.target_accesses = d.accesses;
+            workloads::SchedulerKernel kernel(p);
+            traces::Trace trace(p.name);
+            kernel.run(trace);
+            src.ds = offline::buildDataset(trace);
+            for (unsigned t = 0; t < 4; ++t)
+                src.targets.push_back(kernel.targetPc(t));
+            src.anchor = kernel.anchorPc();
+            src.callers.assign(kernel.callerPcs().begin(),
+                               kernel.callerPcs().end());
+        }
+        bench::capDataset(src.ds, d.cap);
+    });
+    return slot.second;
 }
 
-Row
-decodeRow(const obs::json::Value &v)
+/** Figures 4 and 5: @p lstm's CDF points and heatmap. */
+void
+readAttention(offline::AttentionLstmModel &lstm,
+              const offline::OfflineDataset &ds, unsigned analyses,
+              OfflineRow &row)
 {
-    Row row;
-    for (std::size_t m = 0; m < kModels.size(); ++m)
-        row[m] = resilience::rowField(v, kModels[m]).number();
+    // Figure 4 reads the first 1024 records and Figure 5 the first
+    // 2048; capture is deterministic, so one capture serves both.
+    auto records = lstm.captureAttention(ds, analyses & kHeatmap ? 2048
+                                                                 : 1024);
+    if (analyses & kCdf) {
+        Histogram hist(0.0, 1.0, 100);
+        for (std::size_t i = 0; i < std::min<std::size_t>(records.size(),
+                                                          1024);
+             ++i) {
+            for (float w : records[i].weights)
+                hist.add(w);
+        }
+        auto cdf = hist.cdf();
+        for (double t : kCdfThresholds) {
+            auto bin = static_cast<std::size_t>(t * 100.0);
+            row.cdf.push_back(cdf[std::min(bin, cdf.size() - 1)]);
+        }
+    }
+    if (!(analyses & kHeatmap))
+        return;
+    // (b) zooms on the first 24 targets with a full window; (a)
+    // averages the first 100.
+    row.captured = {static_cast<double>(records.size())};
+    row.offset_means.assign(kWindow, 0.0);
+    std::size_t counted = 0;
+    for (const auto &rec : records) {
+        if (rec.weights.size() < kWindow)
+            continue;
+        auto first = rec.weights.end() - kWindow;
+        if (row.heatmap.size() < 24 * kWindow)
+            row.heatmap.insert(row.heatmap.end(), first, rec.weights.end());
+        for (std::size_t i = 0; i < kWindow; ++i)
+            row.offset_means[i] += static_cast<double>(first[i]);
+        if (++counted == 100)
+            break;
+    }
+    for (double &sum : row.offset_means)
+        sum = counted ? sum / static_cast<double>(counted) : 0.0;
+}
+
+/** Table 4: per-target accuracy of @p model, Hawkeye or the LSTM. */
+void
+readTargets(offline::OfflineModel &model, const Source &src,
+            OfflineRow &row)
+{
+    const auto &ds = src.ds;
+    auto inVocab = [&](std::uint64_t pc) {
+        return std::find(ds.id_to_pc.begin(), ds.id_to_pc.end(), pc)
+            - ds.id_to_pc.begin();
+    };
+    std::vector<std::uint32_t> ids;
+    for (std::uint64_t pc : src.targets) {
+        if (auto id = inVocab(pc); id < std::ssize(ds.id_to_pc))
+            ids.push_back(static_cast<std::uint32_t>(id));
+    }
+    row.callers.assign(src.callers.begin(), src.callers.end());
+    auto *attention = dynamic_cast<offline::AttentionLstmModel *>(&model);
+    if (!attention) { // Hawkeye: one counter per PC
+        const auto &counters = static_cast<offline::OfflineHawkeye &>(model);
+        auto [lo, hi] = ds.testRange();
+        for (std::uint32_t id : ids) {
+            std::size_t n = 0, correct = 0;
+            for (std::size_t i = lo; i < hi; ++i) {
+                if (ds.accesses[i].pc_id == id) {
+                    ++n;
+                    correct += counters.predict(id)
+                        == (ds.accesses[i].label != 0);
+                }
+            }
+            row.targets.insert(
+                row.targets.end(),
+                {static_cast<double>(ds.id_to_pc[id]), 0.0,
+                 n ? 100.0 * static_cast<double>(correct)
+                         / static_cast<double>(n)
+                   : 0.0,
+                 0.0});
+        }
+        return;
+    }
+    const bool anchor_known = inVocab(src.anchor) < std::ssize(ds.id_to_pc);
+    for (const auto &rep : attention->perTargetPcReport(ds, ids)) {
+        const std::uint64_t anchor = ds.id_to_pc[rep.anchor_pc];
+        const bool ifg = anchor_known
+            && (anchor == src.anchor || anchor == src.callers[1]);
+        row.targets.insert(row.targets.end(),
+                           {static_cast<double>(ds.id_to_pc[rep.target_pc]),
+                            static_cast<double>(anchor),
+                            100.0 * rep.accuracy, ifg ? 1.0 : 0.0});
+    }
+}
+
+/** Train @p m and take every reading @p reads asks for. */
+OfflineRow
+trainCell(const Model &m, const Reads &reads, const CancelToken &cancel)
+{
+    const Source &src = source(m.data);
+    const offline::OfflineDataset &ds = src.ds;
+    OfflineRow row;
+    if (m.kind == Kind::Majority) {
+        row.epochs = {0};
+        row.accuracy = {100.0 * offline::majorityBaseline(ds)};
+        return row;
+    }
+    std::unique_ptr<offline::OfflineModel> model;
+    if (m.kind == Kind::Hawkeye) {
+        model = std::make_unique<offline::OfflineHawkeye>(ds.vocab());
+    } else if (m.kind == Kind::Perceptron) {
+        model = std::make_unique<offline::OfflinePerceptron>(
+            ds.vocab(), m.param, 0.05f);
+    } else if (m.kind == Kind::Isvm) {
+        model = std::make_unique<offline::OfflineIsvm>(ds.vocab(), m.param,
+                                                       0.1f);
+    } else {
+        auto cfg = bench::benchLstmConfig(m.param);
+        cfg.attention_scale = static_cast<float>(m.scale);
+        model = std::make_unique<offline::AttentionLstmModel>(ds.vocab(),
+                                                              cfg);
+    }
+    for (int e = 0;; ++e) {
+        if (reads.epochs.count(e)) {
+            row.epochs.push_back(e);
+            row.accuracy.push_back(100.0 * model->evaluate(ds));
+        }
+        if (e == *reads.epochs.rbegin())
+            break;
+        cancel.throwIfCancelled();
+        model->trainEpoch(ds);
+    }
+    if (m.kind == Kind::Lstm) {
+        auto &attention = static_cast<offline::AttentionLstmModel &>(*model);
+        if (reads.analyses & kShuffled)
+            row.shuffled = {100.0 * attention.evaluateShuffled(ds)};
+        if (reads.analyses & (kCdf | kHeatmap))
+            readAttention(attention, ds, reads.analyses, row);
+    }
+    if (reads.analyses & kTargets)
+        readTargets(*model, src, row);
     return row;
 }
 
-using OfflineSweep = bench::BasicSweepRunner<Row, encodeRow, decodeRow>;
+/**
+ * The sweep and its views. Each view runs twice: its read() calls name
+ * the models it reads, then its view() call opens it. Before run(),
+ * read() queues each model (a model already queued merges the new
+ * reads into its one cell) and view() returns nullopt; after run(),
+ * read() returns the rows and view() the report to print.
+ */
+class OfflineSweep
+{
+  public:
+    /** The row of @p m for the next view(); nullptr before run() or
+     *  when the cell was quarantined. */
+    const OfflineRow *
+    read(const Model &m, const Reads &reads)
+    {
+        const std::string key = m.key();
+        pending_.insert(key);
+        if (ran_) {
+            const auto &cell = outcome_.at(key);
+            return cell.ok() ? &cell.row : nullptr;
+        }
+        Reads &r = cells_.try_emplace(key, m, Reads{}).first->second.second;
+        r.epochs.insert(reads.epochs.begin(), reads.epochs.end());
+        r.analyses |= reads.analyses;
+        return nullptr;
+    }
+
+    /**
+     * Open view @p name over the cells read() since the last view():
+     * nullopt before run(). After it, print the banner (unless @p title
+     * is null) and make the report, with @p config. If a cell the view
+     * reads was quarantined, print those cells, write the degraded
+     * report and return nullopt: a view is not drawn from part of its
+     * rows.
+     */
+    std::optional<obs::BenchReport>
+    view(const std::string &name, const char *title, const char *paper,
+         std::initializer_list<std::pair<const char *, obs::json::Value>>
+             config = {})
+    {
+        views_[name].merge(pending_);
+        pending_.clear();
+        if (!ran_)
+            return std::nullopt;
+        if (title)
+            bench::printBanner(title, paper);
+        auto report = bench::makeReport(name);
+        for (const auto &[key, value] : config)
+            report.config(key, value);
+        bool ok = true;
+        for (const auto &c : outcome_.cells) {
+            if (!c.ok() && views_[name].count(c.key)) {
+                std::printf("n/a (quarantined %s: %s)\n", c.key.c_str(),
+                            c.error.c_str());
+                ok = false;
+            }
+        }
+        if (ok)
+            return report;
+        write(report);
+        return std::nullopt;
+    }
+
+    /** Run every queued cell, the long LSTM cells first. */
+    void
+    run()
+    {
+        for (bool lstm_pass : {true, false}) {
+            for (const auto &[key, cell] : cells_) {
+                if ((cell.first.kind == Kind::Lstm) == lstm_pass)
+                    sweep_.queueCell(key, [cell](const CancelToken &c) {
+                        return trainCell(cell.first, cell.second, c);
+                    });
+            }
+        }
+        outcome_ = sweep_.runChecked(bench::sweepOptions(
+            "fig9_offline_accuracy",
+            {env::Knob::LstmDim, env::Knob::Epochs, env::Knob::ConvEpochs,
+             env::Knob::MaxSeq, env::Knob::ScenarioAccesses}));
+        ran_ = true;
+    }
+
+    /** Attach harness and resilience state to @p report; write it. */
+    void
+    write(obs::BenchReport &report) const
+    {
+        const auto &keys = views_.at(report.name());
+        bench::reportHarness(report, sweep_);
+        bench::reportResilience(report, outcome_, [&](const auto &key) {
+            return keys.count(key) > 0;
+        });
+        report.write();
+    }
+
+    bool degraded() const { return outcome_.degraded(); }
+
+  private:
+    using Runner = bench::BasicSweepRunner<OfflineRow,
+                                           bench::encodeOfflineRow,
+                                           bench::decodeOfflineRow>;
+
+    std::map<std::string, std::pair<Model, Reads>> cells_;
+    std::set<std::string> pending_; //!< keys read since the last view()
+    std::map<std::string, std::set<std::string>> views_;
+    Runner sweep_;
+    Runner::SweepOutcome outcome_;
+    bool ran_ = false;
+};
+
+/** Test accuracy (%) in @p row after @p epoch training epochs. */
+double
+accuracyAt(const OfflineRow *row, int epoch)
+{
+    auto it = std::find(row->epochs.begin(), row->epochs.end(), epoch);
+    GLIDER_ASSERT(it != row->epochs.end());
+    return row->accuracy[static_cast<std::size_t>(it - row->epochs.begin())];
+}
+
+int epochs() { return bench::lstmEpochs(); }
+
+/** Figures 4, 5 and 6 train on 100k accesses; Figures 14, 15 and Table
+ *  4 on 120k. */
+Data
+attentionData(const std::string &workload = "omnetpp")
+{
+    return {workload, bench::traceAccesses(), 100'000};
+}
+Data
+curveData(const std::string &workload)
+{
+    return {workload, bench::traceAccesses(), 120'000};
+}
 
 /**
- * Print one accuracy table — a row per cell of @p names, then the
- * trained models' averages — and record its metrics under @p prefix.
- * A quarantined cell prints n/a and is left out of the averages.
+ * Figure 9: offline accuracy on the analysis subset, then the offline
+ * counterpart of fig11's policy-zoo grid — how learnable each scenario
+ * kernel's Belady labels are, per predictor family (traces at
+ * GLIDER_SCENARIO_ACCESSES). Each table prints a row per dataset and
+ * the trained models' averages.
  */
 void
-printTable(obs::BenchReport &report,
-           const OfflineSweep::SweepOutcome &outcome,
-           const std::vector<std::string> &names, const char *label,
-           int width, const std::string &prefix)
+fig9(OfflineSweep &o)
 {
-    std::printf("%-*s %9s %10s %12s %12s %10s\n", width, label,
-                "Majority", "Hawkeye", "Perceptron", "OfflineISVM",
-                "LSTM");
-    std::array<std::vector<double>, kModels.size()> acc;
+    static const char *const kColumns[] = {"majority", "hawkeye",
+                                           "perceptron", "isvm", "lstm"};
+    std::vector<std::pair<std::string, std::array<double, 5>>> rows[2];
+    for (int grid = 0; grid < 2; ++grid) {
+        for (const auto &name : grid ? workloads::scenarioWorkloads()
+                                     : workloads::offlineSubset()) {
+            const Data d{name, grid ? bench::scenarioAccesses()
+                                    : bench::traceAccesses(),
+                         150'000};
+            const std::pair<Model, int> models[] = {
+                {{d, Kind::Majority}, 0}, {{d, Kind::Hawkeye}, kSimpleEpochs},
+                {perceptron(d), kSimpleEpochs}, {isvm(d), kSimpleEpochs},
+                {lstm(d), epochs()}};
+            rows[grid].emplace_back(name, std::array<double, 5>{});
+            for (std::size_t m = 0; m < 5; ++m) {
+                const auto &[model, epoch] = models[m];
+                if (auto *row = o.read(model, {{epoch}}))
+                    rows[grid].back().second[m] = accuracyAt(row, epoch);
+            }
+        }
+    }
+    auto report = o.view("fig9_offline_accuracy", nullptr, nullptr,
+                         {{"scenario_accesses",
+                           obs::json::Value(bench::scenarioAccesses())}});
+    if (!report)
+        return;
+    for (int grid = 0; grid < 2; ++grid) {
+        const int width = grid ? 16 : 10;
+        const std::string prefix = grid ? "grid.accuracy_pct."
+                                        : "accuracy_pct.";
+        if (grid)
+            std::printf("\nModel x adversarial scenarios (offline "
+                        "accuracy)\n");
+        std::printf("%-*s %9s %10s %12s %12s %10s\n", width,
+                    grid ? "Scenario" : "Program", "Majority", "Hawkeye",
+                    "Perceptron", "OfflineISVM", "LSTM");
+        std::array<std::vector<double>, 5> acc;
+        for (const auto &[name, row] : rows[grid]) {
+            for (std::size_t m = 0; m < 5; ++m) {
+                acc[m].push_back(row[m]);
+                report->metric(prefix + name + "." + kColumns[m], row[m],
+                               "%", obs::Direction::Info);
+            }
+            std::printf("%-*s %8.1f%% %9.1f%% %11.1f%% %11.1f%% %9.1f%%\n",
+                        width, name.c_str(), row[0], row[1], row[2],
+                        row[3], row[4]);
+        }
+        std::printf("%-*s %9s %9.1f%% %11.1f%% %11.1f%% %9.1f%%\n", width,
+                    "average", "", amean(acc[1]), amean(acc[2]),
+                    amean(acc[3]), amean(acc[4]));
+        for (std::size_t m = 1; m < 5; ++m) { // no average of the majority
+            report->metric(prefix + "avg." + kColumns[m], amean(acc[m]),
+                           "%", obs::Direction::HigherBetter);
+        }
+    }
+    std::printf("\nShape check (paper): LSTM and offline ISVM are "
+                "within a point or two of each other and clearly above "
+                "Hawkeye\nand the ordered-history Perceptron.\n");
+    o.write(*report);
+}
+
+/** Figure 4: raising the attention scale sparsifies the weights'
+ *  distribution at essentially no accuracy cost. */
+void
+fig4(OfflineSweep &o)
+{
+    const OfflineRow *rows[5];
+    for (int scale = 1; scale <= 5; ++scale) {
+        rows[scale - 1] =
+            o.read(lstm(attentionData(), scale), {{epochs()}, kCdf});
+    }
+    auto report = o.view(
+        "fig4_attention_cdf",
+        "Figure 4: CDF of attention weights vs scaling factor (omnetpp)",
+        "scale 1..5 all reach ~85% accuracy; higher scales shift the "
+        "CDF toward sparse weight distributions");
+    if (!report)
+        return;
+    std::printf("%-8s %9s | CDF at weight thresholds\n", "scale",
+                "accuracy");
+    std::printf("%-8s %9s |", "", "");
+    for (double t : kCdfThresholds)
+        std::printf(" %6.2f", t);
+    std::printf("\n");
+    for (int scale = 1; scale <= 5; ++scale) {
+        const OfflineRow *row = rows[scale - 1];
+        const std::string s = std::to_string(scale);
+        const double acc = accuracyAt(row, epochs());
+        report->metric("accuracy_pct.scale" + s, acc, "%",
+                       obs::Direction::Info);
+        std::printf("%-8d %8.1f%% |", scale, acc);
+        for (std::size_t i = 0; i < row->cdf.size(); ++i) {
+            std::printf(" %6.3f", row->cdf[i]);
+            char at[32];
+            std::snprintf(at, sizeof at, "%.2f", kCdfThresholds[i]);
+            report->metric("cdf.scale" + s + ".at" + at, row->cdf[i], "",
+                           obs::Direction::Info);
+        }
+        std::printf("\n");
+    }
+    std::printf("\nShape check (paper): accuracy is flat across "
+                "scales while the CDF at small thresholds rises with "
+                "the scale\n(more near-zero weights = sparser "
+                "attention), revealing the few influential sources.\n");
+    o.write(*report);
+}
+
+/**
+ * Figure 5: attention heatmaps on omnetpp in the sparse regime (scale
+ * 3), one row per target access and one column per source offset, in
+ * ASCII intensity (' ' . : + # @ for increasing weight) with each
+ * row's argmax offset. A few sources dominate nearly every row,
+ * forming oblique lines as the same influential access slides away
+ * from successive targets.
+ */
+void
+fig5(OfflineSweep &o)
+{
+    const OfflineRow *row =
+        o.read(lstm(attentionData(), 3), {{epochs()}, kHeatmap});
+    auto report = o.view("fig5_attention_heatmap",
+                         "Figure 5: attention heatmap over consecutive "
+                         "accesses (omnetpp)",
+                         "white (here '@'/'#') boxes concentrate on a few "
+                         "source offsets; oblique lines across rows");
+    if (!report)
+        return;
+    std::printf("\n(b)-style zoom: %zu consecutive targets, source "
+                "offsets -%zu..-1\n",
+                std::min<std::size_t>(
+                    static_cast<std::size_t>(row->captured.at(0)), 24),
+                kWindow);
+    std::printf("%-6s %-*s %s\n", "row", static_cast<int>(kWindow),
+                "heat (left = -20, right = -1)", "argmax offset");
+    for (std::size_t r = 0; r * kWindow < row->heatmap.size(); ++r) {
+        const auto w = row->heatmap.begin() + r * kWindow;
+        std::string line;
+        for (std::size_t i = 0; i < kWindow; ++i) {
+            const auto x = static_cast<float>(w[i]);
+            line += x >= 0.5f ? '@' : x >= 0.3f ? '#' : x >= 0.15f ? '+'
+                : x >= 0.05f ? ':' : x >= 0.02f ? '.' : ' ';
+        }
+        const auto best = std::max_element(w, w + kWindow) - w;
+        std::printf("%-6zu %s %8lld\n", r, line.c_str(),
+                    static_cast<long long>(best)
+                        - static_cast<long long>(kWindow));
+    }
+    std::printf("\n(a)-style summary: mean attention weight by source "
+                "offset (100 targets)\n");
+    for (std::size_t i = 0; i < row->offset_means.size(); ++i) {
+        const double mean = row->offset_means[i];
+        const long long off = static_cast<long long>(i)
+            - static_cast<long long>(kWindow);
+        std::printf("offset %3lld: %.4f %s\n", off, mean,
+                    std::string(static_cast<std::size_t>(mean * 200), '*')
+                        .c_str());
+        report->metric("mean_attention.offset" + std::to_string(off), mean,
+                       "", obs::Direction::Info);
+    }
+    std::printf("\nShape check (paper): each target's mass sits on a "
+                "few offsets, and those offsets recur row after row.\n");
+    o.write(*report);
+}
+
+/** Figure 6 (Observation 3): prediction is largely insensitive to
+ *  the order of the history. */
+void
+fig6(OfflineSweep &o)
+{
+    const auto names = workloads::offlineSubset();
+    std::vector<const OfflineRow *> rows;
     for (const auto &name : names) {
-        const auto &cell = outcome.at(name + "/offline");
-        if (!cell.ok()) {
-            std::printf("%-*s %9s (quarantined: %s)\n", width,
-                        name.c_str(), "n/a", cell.error.c_str());
-            continue;
-        }
-        const Row &row = cell.row;
-        for (std::size_t m = 0; m < kModels.size(); ++m) {
-            acc[m].push_back(row[m]);
-            report.metric(prefix + name + "." + kModels[m], row[m], "%",
-                          obs::Direction::Info);
-        }
-        std::printf("%-*s %8.1f%% %9.1f%% %11.1f%% %11.1f%% %9.1f%%\n",
-                    width, name.c_str(), row[0], row[1], row[2], row[3],
-                    row[4]);
+        rows.push_back(
+            o.read(lstm(attentionData(name)), {{epochs()}, kShuffled}));
     }
-    std::printf("%-*s %9s %9.1f%% %11.1f%% %11.1f%% %9.1f%%\n", width,
-                "average", "", amean(acc[1]), amean(acc[2]),
-                amean(acc[3]), amean(acc[4]));
-    for (std::size_t m = 1; m < kModels.size(); ++m) { // skip majority
-        report.metric(prefix + "avg." + kModels[m], amean(acc[m]), "%",
-                      obs::Direction::HigherBetter);
+    auto report = o.view("fig6_shuffle",
+                         "Figure 6: ordered vs shuffled history accuracy",
+                         "shuffled sequences lose only marginal accuracy "
+                         "vs ordered (averages ~80% vs ~79% in the paper)");
+    if (!report)
+        return;
+    std::printf("%-10s %10s %10s %8s\n", "Program", "Ordered",
+                "Shuffled", "Delta");
+    std::vector<double> ord, shuf;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const std::string &name = names[i];
+        ord.push_back(accuracyAt(rows[i], epochs()));
+        shuf.push_back(rows[i]->shuffled.at(0));
+        report->metric("accuracy_pct." + name + ".ordered", ord.back(), "%",
+                       obs::Direction::Info);
+        report->metric("accuracy_pct." + name + ".shuffled", shuf.back(),
+                       "%", obs::Direction::Info);
+        std::printf("%-10s %9.1f%% %9.1f%% %+7.1f\n", name.c_str(),
+                    ord.back(), shuf.back(), shuf.back() - ord.back());
     }
+    std::printf("%-10s %9.1f%% %9.1f%% %+7.1f\n", "average",
+                amean(ord), amean(shuf), amean(shuf) - amean(ord));
+    report->metric("accuracy_pct.avg.ordered", amean(ord), "%",
+                   obs::Direction::Info);
+    report->metric("accuracy_pct.avg.shuffled", amean(shuf), "%",
+                   obs::Direction::Info);
+    o.write(*report);
+    std::printf("\nShape check (paper): shuffling costs only a few "
+                "points — order carries little information beyond "
+                "presence,\nwhich is what licenses the k-sparse "
+                "unordered feature of §4.3.\n");
+}
+
+/**
+ * Figure 14: accuracy vs control-flow history length, averaged over
+ * omnetpp and sphinx3 — the attention LSTM over sequence lengths
+ * 10..GLIDER_MAX_SEQ (the paper sweeps to 100; saturation shows well
+ * before), the offline ISVM over k unique PCs and the ordered-history
+ * Perceptron over history 1..10.
+ */
+void
+fig14(OfflineSweep &o)
+{
+    const std::size_t max_seq = env::u64(env::Knob::MaxSeq);
+    struct Curve
+    {
+        const char *label, *metric;
+        std::size_t x0, x1, dx; //!< x from x0 to x1 in steps of dx
+        Model (*model)(const Data &, std::size_t x);
+        int epoch;
+        std::vector<double> acc = {};
+    };
+    Curve curves[] = {
+        {"Attention LSTM", "lstm.seq", 10, max_seq, 10,
+         [](const Data &d, std::size_t len) { return lstm(d, 1, len / 2); },
+         epochs()},
+        {"Offline ISVM", "isvm.k", 1, 10, 1,
+         [](const Data &d, std::size_t k) { return isvm(d, k); },
+         kSimpleEpochs},
+        {"Perceptron (ordered)", "perceptron.h", 1, 10, 1,
+         [](const Data &d, std::size_t h) { return perceptron(d, h); },
+         kSimpleEpochs}};
+    for (auto &c : curves) {
+        for (std::size_t x = c.x0; x <= c.x1; x += c.dx) {
+            c.acc.push_back(0.0);
+            for (const char *name : {"omnetpp", "sphinx3"}) {
+                if (auto *row =
+                        o.read(c.model(curveData(name), x), {{c.epoch}}))
+                    c.acc.back() += accuracyAt(row, c.epoch);
+            }
+        }
+    }
+    auto report = o.view("fig14_history_length",
+                         "Figure 14: accuracy vs history length",
+                         "LSTM saturates near history 30; ISVM with ~6 "
+                         "unique PCs approaches the LSTM; Perceptron "
+                         "saturates at ~4",
+                         {{"max_seq", obs::json::Value(max_seq)}});
+    if (!report)
+        return;
+    for (std::size_t i = 0; i < 3; ++i) {
+        const Curve &c = curves[i];
+        if (i < 2) { // the LSTM's axis, then the one k axis
+            std::printf("%-22s", i ? "k ->" : "history (LSTM seq / k)");
+            for (std::size_t x = c.x0; x <= c.x1; x += c.dx)
+                std::printf(" %7zu", x);
+            std::printf("\n");
+        }
+        std::printf("%-22s", c.label);
+        for (std::size_t j = 0; j < c.acc.size(); ++j) {
+            std::printf(" %6.1f%%", c.acc[j] / 2);
+            report->metric("accuracy_pct." + std::string(c.metric)
+                               + std::to_string(c.x0 + j * c.dx),
+                           c.acc[j] / 2, "%", obs::Direction::Info);
+        }
+        std::printf("\n");
+    }
+    std::printf("\nShape check (paper): a few unique PCs (k-sparse) "
+                "buy what a much longer raw sequence buys the LSTM, "
+                "while the\nordered-with-duplicates perceptron curve "
+                "flattens early.\n");
+    o.write(*report);
+}
+
+/** Figure 15: test accuracy per training epoch, averaged over mcf,
+ *  omnetpp and sphinx3. */
+void
+fig15(OfflineSweep &o)
+{
+    const int conv = static_cast<int>(env::u64(env::Knob::ConvEpochs));
+    Reads every_epoch;
+    for (int e = 0; e <= conv; ++e)
+        every_epoch.epochs.insert(e);
+    std::vector<std::array<double, 4>> acc(conv + 1);
+    for (const char *name : {"mcf", "omnetpp", "sphinx3"}) {
+        const Data d = curveData(name);
+        const Model models[] = {lstm(d), isvm(d), perceptron(d),
+                                {d, Kind::Hawkeye}};
+        for (std::size_t m = 0; m < 4; ++m) {
+            auto *row = o.read(models[m], every_epoch);
+            for (int e = 0; row && e <= conv; ++e)
+                acc[e][m] += accuracyAt(row, e);
+        }
+    }
+    auto report = o.view("fig15_convergence",
+                         "Figure 15: convergence of the offline models",
+                         "ISVM reaches its plateau in ~1 iteration; LSTM "
+                         "needs 10-15; Hawkeye/Perceptron converge fast "
+                         "but plateau lower",
+                         {{"conv_epochs", obs::json::Value(conv)}});
+    if (!report)
+        return;
+    std::printf("%-10s %10s %12s %12s %10s\n", "#iters", "LSTM",
+                "OfflineISVM", "Perceptron", "Hawkeye");
+    static const char *const kModels[] = {"lstm", "isvm", "perceptron",
+                                          "hawkeye"};
+    for (int e = 0; e <= conv; ++e) {
+        const auto &a = acc[e];
+        std::printf("%-10d %9.1f%% %11.1f%% %11.1f%% %9.1f%%\n", e,
+                    a[0] / 3, a[1] / 3, a[2] / 3, a[3] / 3);
+        for (std::size_t m = 0; m < 4; ++m) {
+            report->metric("accuracy_pct." + std::string(kModels[m])
+                               + ".iter" + std::to_string(e),
+                           a[m] / 3, "%", obs::Direction::Info);
+        }
+    }
+    o.write(*report);
+    std::printf("\nShape check (paper): the ISVM is near its final "
+                "accuracy after one pass (why it works online), while "
+                "the LSTM\nunderfits for many iterations — the paper's "
+                "argument that deep models cannot train in hardware.\n");
+}
+
+/**
+ * Table 4: the four scheduleAt() target PCs of the omnetpp-like
+ * scheduler — per-target accuracy under Hawkeye vs the attention LSTM,
+ * and the anchor PC (the highest-attention source) each target attends
+ * to. The paper finds all four share one anchor PC inside
+ * scheduleEndIFGPeriod(): the endIFG message objects are the
+ * cache-friendly ones.
+ */
+void
+table4(OfflineSweep &o)
+{
+    const Data d = curveData(kTable4Workload);
+    const OfflineRow *hk =
+        o.read({d, Kind::Hawkeye}, {{kSimpleEpochs}, kTargets});
+    const OfflineRow *at = o.read(lstm(d, 3), {{epochs()}, kTargets});
+    auto report = o.view(
+        "table4_anchor_pcs",
+        "Table 4: target-PC accuracy and anchor PCs in scheduleAt()",
+        "four target PCs gain 16-41 points over Hawkeye and share one "
+        "anchor PC (the IFG caller)");
+    if (!report)
+        return;
+    std::printf("%-12s %-12s %14s %16s\n", "Target PC", "Anchor PC",
+                "Hawkeye acc", "Attn-LSTM acc");
+    auto hex = [](double pc) { return static_cast<unsigned long long>(pc); };
+    for (std::size_t t = 0; 4 * t < at->targets.size(); ++t) {
+        const double *target = &at->targets[4 * t];
+        const double hawkeye = hk->targets[4 * t + 2];
+        const std::string metric = "accuracy_pct.target" + std::to_string(t);
+        report->metric(metric + ".hawkeye", hawkeye, "%",
+                       obs::Direction::Info);
+        report->metric(metric + ".lstm", target[2], "%",
+                       obs::Direction::Info);
+        std::printf("%-12llx %-12llx %13.1f%% %15.1f%%%s\n",
+                    hex(target[0]), hex(target[1]), hawkeye, target[2],
+                    target[3] ? "   <- anchors on the IFG caller" : "");
+    }
+    std::printf("\nGround truth caller PCs:");
+    for (std::size_t c = 0; c + 1 < at->callers.size(); c += 2) {
+        std::printf(" %s={%llx,%llx}", c == 0 ? "IFG" : c == 2 ? "JAM" : "TX",
+                    hex(at->callers[c]), hex(at->callers[c + 1]));
+    }
+    std::printf("\n\nShape check (paper): every target PC's accuracy "
+                "rises sharply over Hawkeye once calling context is "
+                "available.\nThe paper's argmax-attention anchor is "
+                "the IFG caller; in this reduced model the argmax is "
+                "often the\ntarget's own previous occurrence (whose "
+                "hidden state already encodes the caller) with the "
+                "caller PCs as\nsecond-ranked sources — see "
+                "EXPERIMENTS.md.\n");
+    o.write(*report);
 }
 
 } // namespace
@@ -126,51 +826,21 @@ main()
     bench::printBanner(
         "Figure 9: offline accuracy (Hawkeye / Perceptron / ISVM / LSTM)",
         "averages — LSTM 82.6%, offline ISVM ~81.2%, Hawkeye 72.2%");
-
     auto lstm_cfg = bench::benchLstmConfig();
     std::printf("Table 5 hyper-parameters: split 0.75/0.25, embedding "
                 "%zu, network %zu, Adam lr %.3f, k=5\n\n",
                 lstm_cfg.embedding, lstm_cfg.hidden,
                 static_cast<double>(lstm_cfg.lr));
 
-    // The scenario cells are the offline counterpart of fig11's
-    // policy-zoo grid: how learnable each scenario kernel's Belady
-    // labels are, per predictor family (traces at
-    // GLIDER_SCENARIO_ACCESSES).
-    const auto names = workloads::offlineSubset();
-    const auto scenarios = workloads::scenarioWorkloads();
-    OfflineSweep sweep;
-    auto queueOffline = [&](const std::string &name,
-                            std::uint64_t accesses) {
-        sweep.queueCell(name + "/offline",
-                        [name, accesses, lstm_cfg](const CancelToken &) {
-                            return trainAndEvaluate(
-                                bench::buildTrace(name, accesses),
-                                lstm_cfg);
-                        });
-    };
-    for (const auto &name : names)
-        queueOffline(name, bench::traceAccesses());
-    for (const auto &name : scenarios)
-        queueOffline(name, bench::scenarioAccesses());
-    const auto outcome = sweep.runChecked(bench::sweepOptions(
-        "fig9_offline_accuracy",
-        {env::Knob::LstmDim, env::Knob::Epochs,
-         env::Knob::ScenarioAccesses}));
-
-    auto report = bench::makeReport("fig9_offline_accuracy");
-    report.config("scenario_accesses",
-                  obs::json::Value(bench::scenarioAccesses()));
-    printTable(report, outcome, names, "Program", 10, "accuracy_pct.");
-    std::printf("\nModel x adversarial scenarios (offline accuracy)\n");
-    printTable(report, outcome, scenarios, "Scenario", 16,
-               "grid.accuracy_pct.");
-
-    std::printf("\nShape check (paper): LSTM and offline ISVM are "
-                "within a point or two of each other and clearly above "
-                "Hawkeye\nand the ordered-history Perceptron.\n");
-    bench::reportResilience(report, outcome);
-    bench::reportHarness(report, sweep);
-    report.write();
-    return report.degraded() ? 2 : 0;
+    OfflineSweep o;
+    const auto views = {fig9, fig4, fig5, fig6, fig14, fig15, table4};
+    for (auto *view : views)
+        view(o);
+    o.run();
+    for (auto *view : views) {
+        if (view != fig9)
+            std::printf("\n");
+        view(o);
+    }
+    return o.degraded() ? 2 : 0;
 }

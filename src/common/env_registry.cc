@@ -34,7 +34,7 @@ const KnobInfo kKnobs[] = {
     {Knob::CkptVerify, "GLIDER_CKPT_VERIFY", "u64", "1",
      "Resumed checkpoint rows to recompute and byte-compare."},
     {Knob::ConvEpochs, "GLIDER_CONV_EPOCHS", "u64", "12",
-     "fig15 convergence-curve training epochs."},
+     "fig9's Fig 15 view: convergence-curve training epochs."},
     {Knob::Epochs, "GLIDER_EPOCHS", "u64", "6",
      "Offline LSTM training epochs."},
     {Knob::FaultInject, "GLIDER_FAULT_INJECT", "string", "",
@@ -42,7 +42,7 @@ const KnobInfo kKnobs[] = {
     {Knob::LstmDim, "GLIDER_LSTM_DIM", "u64", "32",
      "Offline-model hidden/embedding dimension."},
     {Knob::MaxSeq, "GLIDER_MAX_SEQ", "u64", "60",
-     "fig14 maximum attention history length swept."},
+     "fig9's Fig 14 view: longest LSTM history swept."},
     {Knob::MicroAccesses, "GLIDER_MICRO_ACCESSES", "u64", "2000000",
      "microbench_simulator accesses per repetition."},
     {Knob::MicroReps, "GLIDER_MICRO_REPS", "u64", "3",

@@ -159,7 +159,10 @@ class DrripPolicy : public RrpvBase
             use_brrip = true;
             break;
           default:
-            use_brrip = psel_ < kPselMax / 2;
+            // SRRIP-leader misses count psel_ up: a high psel_ means
+            // BRRIP is winning the duel. psel_ starts at the midpoint,
+            // so an undecided duel keeps BRRIP.
+            use_brrip = psel_ >= kPselMax / 2;
             break;
         }
         std::uint8_t insert = kMaxRrpv - 1;

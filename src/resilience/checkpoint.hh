@@ -16,6 +16,15 @@
  * Rows are opaque JSON here; the runner that resumes a row decodes it
  * and recomputes any row that does not decode.
  *
+ * While a sweep runs, the file is a journal: one compact header line
+ * (the document above without "cells"), then one {"key", "row"} line
+ * appended per completed cell, so recording a cell costs one line, not
+ * a rewrite of every row. finish() (run when the sweep ends, and by the
+ * destructor of an object that appended) replaces the journal with the
+ * sorted document above.
+ * load() reads either form; a torn line (a kill mid-append) is dropped
+ * and its cell recomputed.
+ *
  * Byte-identity contract: cells serialize sorted by key (not in
  * completion order), rows exclude wall-clock fields, and obs::json
  * prints doubles in shortest round-trippable form — so the checkpoint
@@ -29,6 +38,8 @@
 #ifndef GLIDER_RESILIENCE_CHECKPOINT_HH
 #define GLIDER_RESILIENCE_CHECKPOINT_HH
 
+#include <cstdint>
+#include <cstdio>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -81,6 +92,12 @@ class SweepCheckpoint
     SweepCheckpoint(std::string path, std::string sweep,
                     obs::json::Value config);
 
+    /** Runs finish() if this object appended to the journal. */
+    ~SweepCheckpoint();
+
+    SweepCheckpoint(const SweepCheckpoint &) = delete;
+    SweepCheckpoint &operator=(const SweepCheckpoint &) = delete;
+
     /**
      * Read rows from an existing file. Returns the number of rows
      * recovered; a missing file, wrong schema, another sweep's name,
@@ -93,20 +110,37 @@ class SweepCheckpoint
     /** Encoded row for @p key, or nullptr when not checkpointed. */
     const obs::json::Value *find(const std::string &key) const;
 
-    /** Add @p row under @p key and atomically rewrite the file. */
+    /** Add @p row under @p key and append it to the journal. */
     void record(const std::string &key, obs::json::Value row);
+
+    /**
+     * Replace the journal with the sorted document, atomically. A no-op
+     * when the file already is that document.
+     */
+    void finish();
 
     const std::string &path() const { return path_; }
 
+    /** Bytes this object has written to disk so far. */
+    std::uint64_t bytesWritten() const;
+
   private:
-    void save() const; //!< callers hold mutex_
-    /** The full document (schema above); callers hold mutex_. */
-    obs::json::Value toJsonLocked() const;
+    /** The header, with every row when @p cells; callers hold mutex_. */
+    obs::json::Value toJsonLocked(bool cells) const;
+    /** Atomically replace the file with @p text; callers hold mutex_. */
+    bool replaceLocked(const std::string &text);
+    /** Rewrite the file as a journal of rows_ and keep it open for
+     *  appending; callers hold mutex_. */
+    void openJournalLocked();
+    void closeJournalLocked();
 
     std::string path_;
     std::string sweep_;
     obs::json::Value config_;
     std::map<std::string, obs::json::Value> rows_;
+    std::FILE *journal_ = nullptr; //!< open while this run appends
+    bool journaled_ = false; //!< the file is a journal of rows_
+    std::uint64_t bytes_written_ = 0;
     mutable std::mutex mutex_;
 };
 

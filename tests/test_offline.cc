@@ -2,10 +2,14 @@
  * @file
  * Tests for the offline pipeline: dataset construction, the three
  * simple models, and the attention-LSTM (training, evaluation,
- * attention capture, shuffle protocol).
+ * attention capture, shuffle protocol), and the purity of evaluation
+ * that lets the offline sweep share one trained model among figures.
  */
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <memory>
 
 #include "common/rng.hh"
 #include "offline/dataset.hh"
@@ -279,6 +283,73 @@ TEST(AttentionLstm, PerTargetReportFindsAnchor)
     // The model must actually solve the context task for the report
     // to be meaningful.
     EXPECT_GT(reports[0].accuracy, 0.85);
+}
+
+/**
+ * The offline sweep reads a model between epochs (Figure 15's curve)
+ * and hands the same cell to views that read it at one epoch (Figure
+ * 14), which is sound only if evaluation changes no weight and no RNG
+ * state. Train two copies E epochs, one evaluated after every epoch:
+ * their final results must be bit-equal.
+ */
+void
+expectEvaluationLeavesModelUnchanged(
+    const std::function<std::unique_ptr<OfflineModel>()> &make,
+    const OfflineDataset &ds, int epochs)
+{
+    auto plain = make();
+    auto probed = make();
+    for (int e = 0; e < epochs; ++e) {
+        plain->trainEpoch(ds);
+        probed->evaluate(ds);
+        probed->trainEpoch(ds);
+    }
+    EXPECT_EQ(plain->evaluate(ds), probed->evaluate(ds)) << plain->name();
+}
+
+TEST(EvaluationIsPure, SimpleModels)
+{
+    auto ds = contextDataset(1500, 12);
+    const std::size_t vocab = ds.vocab();
+    expectEvaluationLeavesModelUnchanged(
+        [&] { return std::make_unique<OfflineHawkeye>(vocab); }, ds, 3);
+    expectEvaluationLeavesModelUnchanged(
+        [&] {
+            return std::make_unique<OfflinePerceptron>(vocab, 3, 0.05f);
+        },
+        ds, 3);
+    expectEvaluationLeavesModelUnchanged(
+        [&] { return std::make_unique<OfflineIsvm>(vocab, 5, 0.1f); }, ds,
+        3);
+}
+
+TEST(EvaluationIsPure, AttentionLstm)
+{
+    auto ds = contextDataset(1500, 13);
+    expectEvaluationLeavesModelUnchanged(
+        [&] {
+            return std::make_unique<AttentionLstmModel>(ds.vocab(),
+                                                         tinyLstm());
+        },
+        ds, 3);
+
+    // The attention analyses read the trained model too: capture after
+    // interleaved evaluations matches capture after plain training.
+    AttentionLstmModel plain(ds.vocab(), tinyLstm());
+    AttentionLstmModel probed(ds.vocab(), tinyLstm());
+    for (int e = 0; e < 3; ++e) {
+        plain.trainEpoch(ds);
+        probed.evaluate(ds);
+        probed.trainEpoch(ds);
+    }
+    auto a = plain.captureAttention(ds, 256);
+    auto b = probed.captureAttention(ds, 256);
+    ASSERT_EQ(a.size(), b.size());
+    ASSERT_FALSE(a.empty());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].weights, b[i].weights) << "record " << i;
+        EXPECT_EQ(a[i].correct, b[i].correct) << "record " << i;
+    }
 }
 
 } // namespace

@@ -122,6 +122,67 @@ TEST(Drrip, TracksBetterComponentOnThrash)
     EXPECT_GT(h_drrip, h_lru);
 }
 
+/**
+ * Miss rate of @p policy on @p blocks through a 1024-set, 16-way LLC:
+ * DRRIP's 64 leader sets are then 1/16 of the sets, so its followers
+ * decide its miss rate.
+ */
+double
+duelMissRate(std::unique_ptr<sim::ReplacementPolicy> policy,
+             const std::vector<std::uint64_t> &blocks)
+{
+    sim::CacheConfig c = smallLlc();
+    c.size_bytes = 1024 * 16 * 64;
+    sim::Cache cache(c, std::move(policy));
+    auto hits = runStream(cache, blocks);
+    return 1.0 - static_cast<double>(hits)
+        / static_cast<double>(blocks.size());
+}
+
+TEST(Drrip, FollowersTakeTheDuelWinnersInsertion)
+{
+    // DRRIP sends its followers the insertion of whichever leader
+    // group misses less, so its miss rate sits within a few points of
+    // the better of SRRIP and BRRIP on both kinds of trace.
+    constexpr std::uint64_t kSets = 1024;
+    // Thrash: a loop over twice the LLC. BRRIP keeps part of it.
+    std::vector<std::uint64_t> thrash;
+    for (int sweep = 0; sweep < 30; ++sweep)
+        for (std::uint64_t b = 0; b < 32 * kSets; ++b)
+            thrash.push_back(b);
+    // Recency-friendly with scans: in every set, each new block is
+    // reused over the next three steps, and each step also touches a
+    // block never seen again. SRRIP keeps the recent blocks; BRRIP's
+    // distant insertion evicts a new block before its first reuse.
+    std::vector<std::uint64_t> recent;
+    std::uint64_t scan = 1'000'000;
+    for (std::uint64_t step = 3; step < 200; ++step) {
+        for (std::uint64_t set = 0; set < kSets; ++set) {
+            for (std::uint64_t back : {0, 1, 2, 3})
+                recent.push_back((step - back) * kSets + set);
+            recent.push_back(scan++ * kSets + set);
+        }
+    }
+
+    for (const auto *trace : {&thrash, &recent}) {
+        double srrip =
+            duelMissRate(std::make_unique<SrripPolicy>(), *trace);
+        double brrip =
+            duelMissRate(std::make_unique<BrripPolicy>(), *trace);
+        double drrip =
+            duelMissRate(std::make_unique<DrripPolicy>(), *trace);
+        const bool is_thrash = trace == &thrash;
+        // Each trace has a clear winner...
+        EXPECT_GT(is_thrash ? srrip - brrip : brrip - srrip, 0.10)
+            << "srrip " << srrip << " brrip " << brrip;
+        // ...and DRRIP follows it.
+        EXPECT_NEAR(drrip, is_thrash ? brrip : srrip, 0.03)
+            << (is_thrash ? "thrash" : "recency-friendly")
+            << ": srrip " << srrip << " brrip " << brrip << " drrip "
+            << drrip;
+    }
+}
+
 TEST(Ship, LearnsStreamingSignatures)
 {
     // PC A streams (never reuses); PC B's lines are hot. After

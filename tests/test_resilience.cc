@@ -3,16 +3,19 @@
  * Tests for src/resilience and the checked SweepRunner: fault-plan
  * parsing, per-cell containment/retry/deadline semantics, cooperative
  * simulator cancellation, checkpoint encode/decode, byte-identity and
- * keying (sweep name, config fingerprint), and checkpoint resume
- * (including the determinism recomputation check against tampered
- * rows, and recomputation of rows that do not decode).
+ * keying (sweep name, config fingerprint), the append-only journal,
+ * the offline sweep's row codec, and checkpoint resume (including the
+ * determinism recomputation check against tampered rows, and
+ * recomputation of rows that do not decode).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -297,6 +300,118 @@ TEST(Checkpoint, FileBytesIndependentOfRecordOrder)
     std::remove(path_ba.c_str());
 }
 
+/** An offline row with every field set; the heatmap's weights need
+ *  every bit of a float's mantissa. */
+bench::OfflineRow
+makeOfflineRow()
+{
+    bench::OfflineRow r;
+    r.epochs = {0, 3, 6};
+    r.accuracy = {50.0, 73.45678901234567, 100.0};
+    r.shuffled = {71.1};
+    r.cdf = {0.1, 0.25, 1.0 / 3.0};
+    r.captured = {2048};
+    for (float w : {1.0f / 3.0f, 0.1f, 1e-7f, std::nextafter(0.5f, 1.0f)})
+        r.heatmap.push_back(w);
+    r.offset_means = {0.01, 1.0 / 7.0};
+    r.targets = {0x4c0040, 0x4c0010, 100.0, 1, 0x4c0044, 0x4c0044, 49.2, 0};
+    r.callers = {1, 2, 3, 4, 5, 6};
+    return r;
+}
+
+TEST(Checkpoint, OfflineRowRoundTripsBitExact)
+{
+    const bench::OfflineRow row = makeOfflineRow();
+    const auto encoded = bench::encodeOfflineRow(row);
+    // Through the file's text, as a resumed row is read.
+    const bench::OfflineRow decoded = bench::decodeOfflineRow(
+        obs::json::Value::parse(encoded.dump(0)));
+    for (const auto &[name, field] : bench::kOfflineRowFields)
+        EXPECT_EQ(decoded.*field, row.*field) << name;
+    // The attention weights come back as the very floats captured.
+    for (std::size_t i = 0; i < row.heatmap.size(); ++i) {
+        const float in = static_cast<float>(row.heatmap[i]);
+        const float out = static_cast<float>(decoded.heatmap[i]);
+        EXPECT_EQ(std::memcmp(&in, &out, sizeof in), 0) << "weight " << i;
+    }
+    EXPECT_TRUE(bench::encodeOfflineRow(decoded) == encoded);
+}
+
+TEST(Checkpoint, OfflineRowDecodeRejectsDamage)
+{
+    const auto full = bench::encodeOfflineRow(makeOfflineRow());
+    for (const auto &dropped : full.members()) {
+        auto cut = obs::json::Value::object();
+        for (const auto &[k, v] : full.members())
+            if (k != dropped.first)
+                cut[k] = v;
+        EXPECT_THROW(bench::decodeOfflineRow(cut), std::runtime_error)
+            << dropped.first;
+    }
+    auto short_accuracy = full;
+    short_accuracy["accuracy"] = obs::json::Value::array();
+    EXPECT_THROW(bench::decodeOfflineRow(short_accuracy),
+                 std::runtime_error);
+    auto mistyped = full;
+    mistyped["cdf"] = obs::json::Value("0.1");
+    EXPECT_THROW(bench::decodeOfflineRow(mistyped), std::runtime_error);
+}
+
+TEST(Checkpoint, JournalBytesPerCellIndependentOfCellCount)
+{
+    // Recording a cell appends one line to the journal, so the 1000th
+    // cell costs what the 10th does. (Rewriting the whole file per
+    // cell, the 1000th would cost about 100 times more.)
+    const std::string path = tempPath("ckpt_journal_bytes.json");
+    auto lastCellBytes = [&](std::size_t cells) {
+        std::remove(path.c_str());
+        SweepCheckpoint ckpt(path, "unit", obs::json::Value::object());
+        std::uint64_t before = 0;
+        char key[32];
+        for (std::size_t i = 0; i < cells; ++i) {
+            std::snprintf(key, sizeof key, "w%04zu/LRU", i);
+            before = ckpt.bytesWritten();
+            ckpt.record(key, encodeResult(makeRow("a", 1.0)));
+        }
+        return ckpt.bytesWritten() - before;
+    };
+    const std::uint64_t at10 = lastCellBytes(10);
+    EXPECT_GT(at10, 0u);
+    EXPECT_EQ(at10, lastCellBytes(1000));
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, JournalDropsTornLastLineAndFinishesSorted)
+{
+    const std::string path = tempPath("ckpt_journal.json");
+    const std::string killed = tempPath("ckpt_journal_killed.json");
+    std::remove(path.c_str());
+    {
+        SweepCheckpoint ckpt(path, "unit", obs::json::Value::object());
+        ckpt.record("b/LRU", encodeResult(makeRow("b", 2.0)));
+        ckpt.record("a/LRU", encodeResult(makeRow("a", 1.0)));
+        // What a kill mid-append leaves: the journal so far, then part
+        // of one more line.
+        const std::string journal = slurp(path);
+        std::ofstream(killed, std::ios::binary)
+            << journal << journal.substr(journal.find('\n') + 1, 40);
+    } // finish(): path now holds the sorted document
+    const std::string torn = slurp(killed);
+    {
+        // A reader that only loads leaves the journal as it found it.
+        SweepCheckpoint reader(killed, "unit", obs::json::Value::object());
+        EXPECT_EQ(reader.load(), 2u);
+    }
+    EXPECT_EQ(slurp(killed), torn);
+    SweepCheckpoint resumed(killed, "unit", obs::json::Value::object());
+    EXPECT_EQ(resumed.load(), 2u);
+    EXPECT_EQ(decodeResult(*resumed.find("a/LRU")).workload, "a");
+    resumed.finish();
+    EXPECT_EQ(slurp(killed), slurp(path));
+    std::remove(path.c_str());
+    std::remove(killed.c_str());
+}
+
 /** SweepOptions with no env dependence, for hermetic runner tests. */
 bench::SweepRunner::SweepOptions
 hermeticOptions(const FaultPlan *faults = nullptr)
@@ -339,6 +454,19 @@ TEST(SweepRunner, DuplicateKeyThrows)
     sweep.queueCell("a/LRU", cell);
     EXPECT_THROW(sweep.queueCell("a/LRU", cell), std::invalid_argument);
     EXPECT_EQ(sweep.queuedCells(), 1u);
+}
+
+TEST(SweepRunner, QueuesMultiKeyGliderSpec)
+{
+    // tools/sweep_driver keys cells by policy spec, and a spec joins
+    // Glider's keys with ';': the runner must take such a key.
+    bench::SweepRunner sweep(1);
+    sweep.queue("mcf", "Glider{pchr=3;threshold=30}", 5000);
+    auto outcome = sweep.runChecked(hermeticOptions());
+    ASSERT_EQ(outcome.cells.size(), 1u);
+    EXPECT_EQ(outcome.cells[0].key, "mcf/Glider{pchr=3;threshold=30}");
+    EXPECT_TRUE(outcome.cells[0].ok()) << outcome.cells[0].error;
+    EXPECT_GT(outcome.cells[0].row.llc.accesses, 0u);
 }
 
 TEST(SweepRunner, Fig13CheckpointKeyedOnMixAccesses)
